@@ -6,22 +6,39 @@
 
 let mlp_spec ~batch = Models.mlp ~batch ~n_inputs:64 ~hidden:[ 32 ] ~n_classes:10
 
-let make_server ?faults ?(queue_cap = 64) () =
+(* A one-tenant fleet over a one-model registry: the tenant is never
+   throttled, and its queue is the admission high-water mark. *)
+let make_fleet ?faults ?(queue_cap = 64) () =
   let batch = 8 in
   let spec = mlp_spec ~batch in
-  Server.create ?faults ~queue_capacity:queue_cap ~failure_threshold:1
-    ~cooldown:5e-3 ~max_retries:1 ~seed:3 ~config:Config.default
+  let config = Config.default in
+  let registry =
+    Registry.create
+      ~opts:
+        (Executor.Run_opts.with_domains config.Config.num_domains
+           Executor.Run_opts.default)
+      ()
+  in
+  Registry.register registry ~name:"mlp" ~seed:3 ~config
     ~input_buf:(spec.Models.data_ens ^ ".value")
     ~output_buf:(spec.Models.output_ens ^ ".value")
-    (fun () -> (mlp_spec ~batch).Models.net)
+    (fun () -> (mlp_spec ~batch).Models.net);
+  Fleet.create ?faults ~failure_threshold:1 ~cooldown:5e-3 ~max_retries:1
+    ~registry
+    ~tenants:
+      [ { Router.name = "load"; weight = 1.0; rate = Float.infinity;
+          burst = Float.infinity; queue_cap; deadline = Float.infinity } ]
+    ()
 
 let scenario ~label ?faults ?queue_cap ~rate ~deadline_ms () =
-  let server = make_server ?faults ?queue_cap () in
-  Load_gen.run server
+  let fleet = make_fleet ?faults ?queue_cap () in
+  Load_gen.run fleet ~tenant:"load" ~model:"mlp"
     { Load_gen.n = 400; rate; deadline = deadline_ms /. 1e3; max_wait = 2e-3;
       seed = 11 };
-  let m = Server.metrics server in
-  let transitions = List.length (Breaker.transitions (Server.breaker server)) in
+  let m = Fleet.metrics fleet in
+  let transitions =
+    List.length (Breaker.transitions (Fleet.breaker fleet "mlp"))
+  in
   Printf.printf "%-22s %6d %6d %8d %6d %6d %9.3f %9.3f %9.3f %6d\n" label
     (Serve_metrics.submitted m)
     (Serve_metrics.done_fast m)
@@ -31,7 +48,7 @@ let scenario ~label ?faults ?queue_cap ~rate ~deadline_ms () =
     (Serve_metrics.percentile m 95.0 *. 1e3)
     (Serve_metrics.percentile m 99.0 *. 1e3)
     transitions;
-  assert (Server.unanswered server = 0)
+  assert (Fleet.unanswered fleet = 0)
 
 let run () =
   Printf.printf "\n=== serving under faults (mlp, batch 8, 400 requests) ===\n";

@@ -544,21 +544,37 @@ let serve_sim model batch image width_div fc_div config requests rate deadline_m
           exit 2)
   in
   let spec = build_model model ~batch ~image ~width_div ~fc_div in
-  let server =
+  (* Single-model serving is a one-tenant fleet over a one-model
+     registry: the tenant's token bucket never throttles and its queue
+     is the --queue-cap high-water mark. *)
+  let registry = Registry.create ~opts:(run_opts_of config) () in
+  Registry.register registry ~name:model ~seed ~config
+    ~input_buf:(spec.Models.data_ens ^ ".value")
+    ~output_buf:(spec.Models.output_ens ^ ".value")
+    (fun () -> (build_model model ~batch ~image ~width_div ~fc_div).Models.net);
+  let fleet =
     try
-      Server.create ~queue_capacity:queue_cap ~failure_threshold:breaker_k
-        ~cooldown:(cooldown_ms /. 1e3) ~max_retries:retries
-        ~backoff:(backoff_ms /. 1e3) ~watchdog_slack ~faults ~seed ~config
-        ~input_buf:(spec.Models.data_ens ^ ".value")
-        ~output_buf:(spec.Models.output_ens ^ ".value")
-        (fun () -> (build_model model ~batch ~image ~width_div ~fc_div).Models.net)
+      let fleet =
+        Fleet.create ~failure_threshold:breaker_k
+          ~cooldown:(cooldown_ms /. 1e3) ~max_retries:retries
+          ~backoff:(backoff_ms /. 1e3) ~watchdog_slack ~faults ~registry
+          ~tenants:
+            [ { Router.name = model; weight = 1.0; rate = Float.infinity;
+                burst = Float.infinity; queue_cap; deadline = Float.infinity } ]
+          ()
+      in
+      (* Compile before any traffic, so a bad poison-out target exits 2
+         here. *)
+      ignore (Fleet.batch_size fleet model);
+      fleet
     with Invalid_argument msg ->
       Printf.eprintf "latte: %s\n" msg;
       exit 2
   in
+  let entry = Registry.get registry model ~version:0 in
   Printf.printf "serving %s (batch %d, queue %d, breaker K=%d, cooldown %gms)\n"
     model batch queue_cap breaker_k cooldown_ms;
-  if Server.is_quantized server then
+  if entry.Registry.quantized then
     Printf.printf
       "fast path quantized (%s preset); degraded reference stays f32\n"
       (Precision.preset_to_string config.Config.precision);
@@ -570,20 +586,21 @@ let serve_sim model batch image width_div fc_div config requests rate deadline_m
       let f = Fault.section_factor faults ~label in
       Printf.printf "  %-34s %9.3f us%s\n" label (s *. 1e6)
         (if f > 1.0 then Printf.sprintf "  (slowed x%g)" f else ""))
-    (Server.section_costs server);
-  Load_gen.run server
+    entry.Registry.fast_costs;
+  Load_gen.run fleet ~tenant:model ~model
     { Load_gen.n = requests; rate; deadline = deadline_ms /. 1e3;
       max_wait = max_wait_ms /. 1e3; seed };
   Printf.printf "simulated %d requests over %.3f ms\n" requests
-    (Server.now server *. 1e3);
-  print_string (Serve_metrics.report (Server.metrics server));
-  (match Serve_metrics.slack_report (Server.metrics server) with
+    (Fleet.now fleet *. 1e3);
+  print_string (Serve_metrics.report (Fleet.metrics fleet));
+  (match Serve_metrics.slack_report (Fleet.metrics fleet) with
   | Some line -> print_string (line ^ "\n")
   | None -> ());
-  (match Breaker.transitions (Server.breaker server) with
+  let breaker = Fleet.breaker fleet model in
+  (match Breaker.transitions breaker with
   | [] ->
       Printf.printf "breaker: no transitions (stayed %s)\n"
-        (Breaker.to_string (Server.breaker server))
+        (Breaker.to_string breaker)
   | trs ->
       Printf.printf "breaker transitions:\n";
       List.iter
@@ -592,7 +609,7 @@ let serve_sim model batch image width_div fc_div config requests rate deadline_m
   List.iter
     (fun (e : Fault.event) -> Printf.printf "[fault] %s\n" e.Fault.what)
     (Fault.events faults);
-  let unanswered = Server.unanswered server in
+  let unanswered = Fleet.unanswered fleet in
   if unanswered > 0 then begin
     Printf.eprintf "latte: %d request(s) left unanswered\n" unanswered;
     exit 1

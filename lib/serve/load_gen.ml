@@ -18,43 +18,43 @@ let poisson_arrivals rng ~n ~rate ~from =
 
 let features rng ~numel = Array.init numel (fun _ -> Rng.float rng 1.0)
 
-let run ?rng server p =
+let run ?rng fleet ~tenant ~model p =
   if p.n <= 0 then invalid_arg (Printf.sprintf "Load_gen.run: n %d <= 0" p.n);
   if p.rate <= 0.0 then
     invalid_arg (Printf.sprintf "Load_gen.run: rate %g <= 0" p.rate);
   let rng = match rng with Some r -> r | None -> Rng.create p.seed in
   let arrivals = poisson_arrivals rng ~n:p.n ~rate:p.rate ~from:0.0 in
-  let item = Server.item_numel server in
+  let item = Fleet.item_numel fleet model in
+  let batch = Fleet.batch_size fleet model in
   let next = ref 0 in
   let submit_due () =
-    while !next < p.n && arrivals.(!next) <= Server.now server do
+    while !next < p.n && arrivals.(!next) <= Fleet.now fleet do
       ignore
-        (Server.submit server
+        (Fleet.submit fleet ~tenant ~model
            ~deadline:(arrivals.(!next) +. p.deadline)
            (features rng ~numel:item));
       incr next
     done
   in
-  while !next < p.n || Server.queue_length server > 0 do
+  while !next < p.n || Fleet.queued fleet > 0 do
     submit_due ();
-    let qlen = Server.queue_length server in
+    let qlen = Fleet.queued fleet in
     if qlen = 0 then
       (* Idle: jump to the next arrival (there is one, or the loop ends). *)
-      Server.advance_to server arrivals.(!next)
-    else if qlen >= Server.batch_size server || !next >= p.n then
-      ignore (Server.pump server)
+      Fleet.advance_to fleet arrivals.(!next)
+    else if qlen >= batch || !next >= p.n then ignore (Fleet.pump fleet)
     else begin
       (* Short batch: wait for more arrivals, but never past the
          batching window of the head-of-line request. *)
-      let waited = Option.value ~default:0.0 (Server.oldest_wait server) in
-      if waited >= p.max_wait then ignore (Server.pump server)
+      let waited = Option.value ~default:0.0 (Fleet.oldest_wait fleet) in
+      if waited >= p.max_wait then ignore (Fleet.pump fleet)
       else begin
-        let dispatch_at = Server.now server +. (p.max_wait -. waited) in
+        let dispatch_at = Fleet.now fleet +. (p.max_wait -. waited) in
         if arrivals.(!next) <= dispatch_at then
-          Server.advance_to server arrivals.(!next)
+          Fleet.advance_to fleet arrivals.(!next)
         else begin
-          Server.advance_to server dispatch_at;
-          ignore (Server.pump server)
+          Fleet.advance_to fleet dispatch_at;
+          ignore (Fleet.pump fleet)
         end
       end
     end

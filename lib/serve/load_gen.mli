@@ -1,11 +1,12 @@
-(** Open-loop synthetic load generator for {!Server}.
+(** Open-loop synthetic load generator for one tenant and model of a
+    {!Fleet}.
 
     Arrivals are a seeded Poisson process (exponential inter-arrival
     times at [rate] requests per simulated second) with uniform random
     feature vectors — open-loop, so arrivals keep coming at the armed
-    rate no matter how far the server falls behind, which is what makes
+    rate no matter how far the fleet falls behind, which is what makes
     shedding and deadline expiry reachable. The event loop advances the
-    server's simulated clock between arrivals and dispatches a batch
+    fleet's simulated clock between arrivals and dispatches a batch
     when it is full, when the head-of-line request has waited
     [max_wait], or when no arrivals remain.
 
@@ -31,8 +32,10 @@ val poisson_arrivals : Rng.t -> n:int -> rate:float -> from:float -> float array
 val features : Rng.t -> numel:int -> float array
 (** One uniform [0, 1) feature vector of [numel] elements. *)
 
-val run : ?rng:Rng.t -> Server.t -> params -> unit
-(** Drive the server until every generated request is answered; after
-    the run [Server.unanswered] is 0. [rng] (default
-    [Rng.create params.seed]) supplies every draw. Raises
-    [Invalid_argument] for non-positive [n] or [rate]. *)
+val run :
+  ?rng:Rng.t -> Fleet.t -> tenant:string -> model:string -> params -> unit
+(** Submit every generated request as [tenant] for [model], each with
+    the absolute deadline [arrival + params.deadline], and pump the
+    fleet until all are answered; after the run [Fleet.unanswered] is 0.
+    [rng] (default [Rng.create params.seed]) supplies every draw.
+    Raises [Invalid_argument] for non-positive [n] or [rate]. *)

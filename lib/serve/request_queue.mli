@@ -1,7 +1,7 @@
 (** Bounded FIFO request queue — the serving runtime's admission point.
 
     The capacity is the load-shedding high-water mark: {!offer} refuses
-    new items once the queue is full, and the server answers those
+    new items once the queue is full, and the fleet answers those
     requests [Shed] instead of letting latency grow without bound. *)
 
 type 'a t

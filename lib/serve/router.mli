@@ -52,7 +52,7 @@ val admit : t -> now:float -> request -> [ `Admitted | `Throttled | `Shed ]
 
 val expire : t -> now:float -> request list
 (** Remove and return every queued request whose deadline has passed —
-    called at batch-formation time, like {!Server.pump}. *)
+    called by {!Fleet.pump} at batch-formation time. *)
 
 val select : t -> batch_of:(string -> int) -> (string * request list) option
 (** Form one batch: weighted-fair pick of the next model and up to

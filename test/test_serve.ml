@@ -10,25 +10,49 @@ let n_classes = 3
 
 let mlp_spec () = Models.mlp ~batch ~n_inputs ~hidden:[ 5 ] ~n_classes
 
+(* A single-model server is a one-tenant fleet over a one-model
+   registry, compiled eagerly so creation-time checks fire here. *)
 let make_server ?(queue_capacity = 16) ?(failure_threshold = 1) ?(cooldown = 1e-3)
     ?(max_retries = 0) ?faults ?watchdog_slack ?(config = Config.default) () =
   let spec = mlp_spec () in
-  Server.create ~queue_capacity ~failure_threshold ~cooldown ~max_retries ?faults
-    ?watchdog_slack ~seed:5 ~config
+  let registry =
+    Registry.create
+      ~opts:
+        (Executor.Run_opts.with_domains config.Config.num_domains
+           Executor.Run_opts.default)
+      ()
+  in
+  Registry.register registry ~name:"mlp" ~seed:5 ~config
     ~input_buf:(spec.Models.data_ens ^ ".value")
     ~output_buf:(spec.Models.output_ens ^ ".value")
-    (fun () -> (mlp_spec ()).Models.net)
+    (fun () -> (mlp_spec ()).Models.net);
+  let server =
+    Fleet.create ~failure_threshold ~cooldown ~max_retries ?faults
+      ?watchdog_slack ~registry
+      ~tenants:
+        [ { Router.name = "client"; weight = 1.0; rate = Float.infinity;
+            burst = Float.infinity; queue_cap = queue_capacity;
+            deadline = Float.infinity } ]
+      ()
+  in
+  ignore (Fleet.batch_size server "mlp");
+  server
+
+let submit ?deadline server features =
+  Fleet.submit server ~tenant:"client" ~model:"mlp" ?deadline features
+
+let entry server = Registry.get (Fleet.registry server) "mlp" ~version:0
 
 let features seed =
   let rng = Rng.create seed in
   Array.init n_inputs (fun _ -> Rng.float rng 1.0)
 
 let submit_batch ?deadline server ~seed0 =
-  List.init batch (fun i -> Server.submit server ?deadline (features (seed0 + i)))
+  List.init batch (fun i -> submit server ?deadline (features (seed0 + i)))
 
 let is_done ?degraded server id =
-  match Server.status server id with
-  | Server.Done d -> (
+  match Fleet.status server id with
+  | Fleet.Done d -> (
       match degraded with None -> true | Some want -> d.degraded = want)
   | _ -> false
 
@@ -38,45 +62,45 @@ let is_done ?degraded server id =
 
 let test_expired_request_times_out_without_running () =
   let server = make_server () in
-  let expired = Server.submit server ~deadline:1e-3 (features 1) in
-  let live = Server.submit server ~deadline:1.0 (features 2) in
-  Server.advance server 2e-3;
+  let expired = submit server ~deadline:1e-3 (features 1) in
+  let live = submit server ~deadline:1.0 (features 2) in
+  Fleet.advance server 2e-3;
   (* Past the first deadline: pump answers it Timeout and runs only the
      live request. *)
-  Alcotest.(check bool) "pump ran a batch" true (Server.pump server);
+  Alcotest.(check bool) "pump ran a batch" true (Fleet.pump server);
   Alcotest.(check bool) "expired -> Timeout" true
-    (Server.status server expired = Server.Timeout);
+    (Fleet.status server expired = Fleet.Timeout);
   Alcotest.(check bool) "live -> Done" true (is_done server live);
-  Alcotest.(check int) "one forward only" 1 (Server.forwards server);
-  Alcotest.(check int) "unanswered drained" 0 (Server.unanswered server);
+  Alcotest.(check int) "one forward only" 1 (Fleet.forwards server);
+  Alcotest.(check int) "unanswered drained" 0 (Fleet.unanswered server);
   (* A batch of only expired requests never executes. *)
   let server = make_server () in
   let ids = submit_batch server ~seed0:10 ~deadline:1e-3 in
-  Server.advance server 1.0;
-  Alcotest.(check bool) "nothing live to run" false (Server.pump server);
+  Fleet.advance server 1.0;
+  Alcotest.(check bool) "nothing live to run" false (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "all Timeout" true
-        (Server.status server id = Server.Timeout))
+        (Fleet.status server id = Fleet.Timeout))
     ids;
-  Alcotest.(check int) "no forward executed" 0 (Server.forwards server)
+  Alcotest.(check int) "no forward executed" 0 (Fleet.forwards server)
 
 let test_queue_overflow_sheds () =
   let server = make_server ~queue_capacity:5 () in
-  let ids = List.init 8 (fun i -> Server.submit server (features i)) in
+  let ids = List.init 8 (fun i -> submit server (features i)) in
   let shed, kept =
-    List.partition (fun id -> Server.status server id = Server.Shed) ids
+    List.partition (fun id -> Fleet.status server id = Fleet.Shed) ids
   in
   Alcotest.(check int) "3 shed at the high-water mark" 3 (List.length shed);
   Alcotest.(check int) "5 admitted" 5 (List.length kept);
   (* Shed requests are answered immediately; admitted ones still run. *)
-  Server.drain server;
+  Fleet.drain server;
   List.iter
     (fun id -> Alcotest.(check bool) "admitted -> Done" true (is_done server id))
     kept;
   Alcotest.(check int) "metrics agree" 3
-    (Serve_metrics.shed (Server.metrics server));
-  Alcotest.(check int) "every request answered" 0 (Server.unanswered server)
+    (Serve_metrics.shed (Fleet.metrics server));
+  Alcotest.(check int) "every request answered" 0 (Fleet.unanswered server)
 
 (* ------------------------------------------------------------------ *)
 (* Breaker lifecycle                                                   *)
@@ -85,7 +109,7 @@ let test_queue_overflow_sheds () =
 let breaker_states server =
   List.map
     (fun (tr : Breaker.transition) -> (tr.Breaker.from_state, tr.Breaker.to_state))
-    (Breaker.transitions (Server.breaker server))
+    (Breaker.transitions (Fleet.breaker server "mlp"))
 
 let test_breaker_opens_after_k_failures_and_recovers () =
   let spec = mlp_spec () in
@@ -102,45 +126,45 @@ let test_breaker_opens_after_k_failures_and_recovers () =
   let server = make_server ~failure_threshold:2 ~cooldown:1e-3 ~faults () in
   (* Batch 1: NaN detected (streak 1 < 2) -> degraded answer, still Closed. *)
   let b1 = submit_batch server ~seed0:100 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "batch1 degraded" true (is_done ~degraded:true server id))
     b1;
   Alcotest.(check bool) "still Closed after one failure" true
-    (Breaker.state (Server.breaker server) = `Closed);
+    (Breaker.state (Fleet.breaker server "mlp") = `Closed);
   (* Batch 2: second consecutive NaN -> breaker opens. *)
   let b2 = submit_batch server ~seed0:200 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "batch2 degraded" true (is_done ~degraded:true server id))
     b2;
   Alcotest.(check bool) "Open after K failures" true
-    (Breaker.state (Server.breaker server) = `Open);
+    (Breaker.state (Fleet.breaker server "mlp") = `Open);
   (* Batch 3 within the cooldown: served by the reference path without
      touching the fast executor. *)
-  let fwd_before = Server.forwards server in
+  let fwd_before = Fleet.forwards server in
   let b3 = submit_batch server ~seed0:300 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "open: degraded" true (is_done ~degraded:true server id))
     b3;
   Alcotest.(check int) "fast path not probed while Open" fwd_before
-    (Server.forwards server);
+    (Fleet.forwards server);
   (* After the cooldown the next batch is the half-open probe; the
      poison plan is exhausted, so it succeeds and the breaker closes. *)
-  Server.advance server 2e-3;
+  Fleet.advance server 2e-3;
   let b4 = submit_batch server ~seed0:400 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "probe batch served fast" true
         (is_done ~degraded:false server id))
     b4;
   Alcotest.(check bool) "Closed again" true
-    (Breaker.state (Server.breaker server) = `Closed);
+    (Breaker.state (Fleet.breaker server "mlp") = `Closed);
   Alcotest.(check bool) "full lifecycle recorded" true
     (breaker_states server
     = [
@@ -148,7 +172,7 @@ let test_breaker_opens_after_k_failures_and_recovers () =
         (`Open, `Half_open);
         (`Half_open, `Closed);
       ]);
-  Alcotest.(check int) "zero unanswered" 0 (Server.unanswered server)
+  Alcotest.(check int) "zero unanswered" 0 (Fleet.unanswered server)
 
 let test_retry_recovers_transient_failure () =
   let spec = mlp_spec () in
@@ -161,17 +185,17 @@ let test_retry_recovers_transient_failure () =
      re-runs the batch, whose forward (#1) is clean. *)
   let server = make_server ~failure_threshold:3 ~max_retries:1 ~faults () in
   let ids = submit_batch server ~seed0:500 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "answered by the fast path" true
         (is_done ~degraded:false server id))
     ids;
   Alcotest.(check int) "one retry recorded" 1
-    (Serve_metrics.retries (Server.metrics server));
-  Alcotest.(check int) "two forwards (attempt + retry)" 2 (Server.forwards server);
+    (Serve_metrics.retries (Fleet.metrics server));
+  Alcotest.(check int) "two forwards (attempt + retry)" 2 (Fleet.forwards server);
   Alcotest.(check bool) "breaker never opened" true
-    (Breaker.transitions (Server.breaker server) = [])
+    (Breaker.transitions (Fleet.breaker server "mlp") = [])
 
 (* ------------------------------------------------------------------ *)
 (* Degradation numeric contract                                        *)
@@ -180,9 +204,9 @@ let test_retry_recovers_transient_failure () =
 let outputs_of server ids =
   List.map
     (fun id ->
-      match Server.status server id with
-      | Server.Done d -> d.output
-      | s -> Alcotest.failf "request %d not Done but %s" id (Server.status_name s))
+      match Fleet.status server id with
+      | Fleet.Done d -> d.output
+      | s -> Alcotest.failf "request %d not Done but %s" id (Fleet.status_name s))
     ids
 
 let max_abs_diff a b =
@@ -196,7 +220,7 @@ let test_degraded_matches_fast_within_tol () =
      first-forward poison with threshold 1. *)
   let healthy = make_server () in
   let h_ids = submit_batch healthy ~seed0:900 in
-  ignore (Server.pump healthy);
+  ignore (Fleet.pump healthy);
   let spec = mlp_spec () in
   let faults =
     Fault.plan
@@ -205,7 +229,7 @@ let test_degraded_matches_fast_within_tol () =
   in
   let degraded = make_server ~failure_threshold:1 ~faults () in
   let d_ids = submit_batch degraded ~seed0:900 in
-  ignore (Server.pump degraded);
+  ignore (Fleet.pump degraded);
   List.iter2
     (fun h d ->
       Alcotest.(check bool) "healthy answer is fast" true
@@ -216,7 +240,7 @@ let test_degraded_matches_fast_within_tol () =
   (* Under a reduced-precision preset (LATTE_PRECISION) the fast path
      is quantized while degraded answers stay f32, so the contract
      widens from float-rounding to the quantization step. *)
-  let tol = if Server.is_quantized healthy then 2e-2 else 1e-4 in
+  let tol = if (entry healthy).Registry.quantized then 2e-2 else 1e-4 in
   List.iter2
     (fun fast_out deg_out ->
       let diff = max_abs_diff fast_out deg_out in
@@ -252,19 +276,19 @@ let test_degraded_matches_fast_within_tol () =
 let test_slow_section_inflates_clock () =
   let healthy = make_server () in
   ignore (submit_batch healthy ~seed0:40);
-  ignore (Server.pump healthy);
+  ignore (Fleet.pump healthy);
   let slowed =
     make_server
       ~faults:(Fault.plan [ Fault.Slow_section { label = "ip1"; factor = 10.0 } ])
       ()
   in
   ignore (submit_batch slowed ~seed0:40);
-  ignore (Server.pump slowed);
+  ignore (Fleet.pump slowed);
   Alcotest.(check bool)
-    (Printf.sprintf "slowed clock %g > healthy %g" (Server.now slowed)
-       (Server.now healthy))
+    (Printf.sprintf "slowed clock %g > healthy %g" (Fleet.now slowed)
+       (Fleet.now healthy))
     true
-    (Server.now slowed > Server.now healthy)
+    (Fleet.now slowed > Fleet.now healthy)
 
 (* ------------------------------------------------------------------ *)
 (* Mid-run cancellation and self-healing                                *)
@@ -277,17 +301,17 @@ let test_slow_section_inflates_clock () =
 let test_watchdog_cancels_hung_section () =
   let server = make_server ~faults:(Fault.parse "hang-section:ip1@0.05") () in
   Alcotest.(check (float 1e-9)) "default slack" 8.0
-    (Server.watchdog_slack server);
+    (Fleet.watchdog_slack server);
   Alcotest.(check bool) "token installed at create" true
-    (Server.cancellation_token server <> None);
+    ((Registry.opts (Fleet.registry server)).Executor.Run_opts.token <> None);
   let ids = submit_batch server ~seed0:1 ~deadline:10.0 in
-  Alcotest.(check bool) "pump ran the batch" true (Server.pump server);
+  Alcotest.(check bool) "pump ran the batch" true (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "cancelled request -> Timeout" true
-        (Server.status server id = Server.Timeout))
+        (Fleet.status server id = Fleet.Timeout))
     ids;
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check int) "watchdog fired once" 1 (Serve_metrics.watchdog_fired m);
   Alcotest.(check int) "whole batch counted cancelled-midrun" batch
     (Serve_metrics.cancelled_midrun m);
@@ -299,12 +323,12 @@ let test_watchdog_cancels_hung_section () =
     (Serve_metrics.slack_report m <> None);
   (* Discarded partial work must not leak into the next answer. *)
   let ids = submit_batch server ~seed0:20 ~deadline:10.0 in
-  Alcotest.(check bool) "next pump runs clean" true (Server.pump server);
+  Alcotest.(check bool) "next pump runs clean" true (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "clean batch Done" true (is_done server id))
     ids;
-  Alcotest.(check int) "every request answered" 0 (Server.unanswered server)
+  Alcotest.(check int) "every request answered" 0 (Fleet.unanswered server)
 
 (* The same hang with the watchdog effectively disabled: the batch is
    cancelled because every deadline in it expired mid-run — counted
@@ -315,17 +339,17 @@ let test_deadline_expiry_cancels_midrun () =
       ~watchdog_slack:1e9 ()
   in
   let ids = submit_batch server ~seed0:1 ~deadline:0.01 in
-  Alcotest.(check bool) "pump ran the batch" true (Server.pump server);
+  Alcotest.(check bool) "pump ran the batch" true (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "expired mid-run -> Timeout" true
-        (Server.status server id = Server.Timeout))
+        (Fleet.status server id = Fleet.Timeout))
     ids;
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check int) "no watchdog" 0 (Serve_metrics.watchdog_fired m);
   Alcotest.(check int) "counted cancelled-midrun" batch
     (Serve_metrics.cancelled_midrun m);
-  Alcotest.(check int) "unanswered drained" 0 (Server.unanswered server)
+  Alcotest.(check int) "unanswered drained" 0 (Fleet.unanswered server)
 
 (* A short stall that trips nothing fleet-wide but outlives one
    request's deadline: the run completes, the stale request alone is
@@ -335,13 +359,13 @@ let test_stale_request_after_completed_run () =
     make_server ~faults:(Fault.parse "hang-section:ip1@0.002")
       ~watchdog_slack:1e9 ()
   in
-  let stale = Server.submit server ~deadline:1e-3 (features 1) in
-  let live = Server.submit server ~deadline:10.0 (features 2) in
-  Alcotest.(check bool) "pump ran" true (Server.pump server);
+  let stale = submit server ~deadline:1e-3 (features 1) in
+  let live = submit server ~deadline:10.0 (features 2) in
+  Alcotest.(check bool) "pump ran" true (Fleet.pump server);
   Alcotest.(check bool) "stale -> Timeout" true
-    (Server.status server stale = Server.Timeout);
+    (Fleet.status server stale = Fleet.Timeout);
   Alcotest.(check bool) "live -> Done" true (is_done server live);
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check int) "stale counted cancelled-midrun" 1
     (Serve_metrics.cancelled_midrun m);
   Alcotest.(check int) "not a queue timeout" 0 (Serve_metrics.timeout m)
@@ -352,22 +376,22 @@ let test_stale_request_after_completed_run () =
 let test_worker_death_heals_and_answers () =
   let config = { Config.default with Config.num_domains = 2 } in
   let server = make_server ~config () in
-  (match Executor.pool (Server.fast_executor server) with
+  (match Executor.pool ((entry server).Registry.fast) with
   | None -> Alcotest.fail "expected a pool at domains 2"
   | Some p ->
       Domain_pool.arm_kill p ~worker:1
         ~at_dispatch:(Domain_pool.dispatches p));
   let ids = submit_batch server ~seed0:1 ~deadline:10.0 in
-  Alcotest.(check bool) "pump ran" true (Server.pump server);
+  Alcotest.(check bool) "pump ran" true (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "answered fast despite the death" true
         (is_done ~degraded:false server id))
     ids;
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check bool) "respawn recorded" true (Serve_metrics.respawns m >= 1);
   Alcotest.(check int) "nothing cancelled" 0 (Serve_metrics.cancelled_midrun m);
-  Alcotest.(check int) "every request answered" 0 (Server.unanswered server)
+  Alcotest.(check int) "every request answered" 0 (Fleet.unanswered server)
 
 let test_create_rejects_bad_watchdog_slack () =
   Alcotest.(check bool) "slack < 1 rejected" true
@@ -387,15 +411,15 @@ let test_load_gen_answers_everything () =
       ]
   in
   let server = make_server ~queue_capacity:8 ~cooldown:5e-4 ~faults () in
-  Load_gen.run server
+  Load_gen.run server ~tenant:"client" ~model:"mlp"
     { Load_gen.n = 120; rate = 50000.0; deadline = 2e-3; max_wait = 5e-4;
       seed = 13 };
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check int) "all submitted" 120 (Serve_metrics.submitted m);
   Alcotest.(check int) "every request answered" 120 (Serve_metrics.answered m);
-  Alcotest.(check int) "zero unanswered" 0 (Server.unanswered server);
+  Alcotest.(check int) "zero unanswered" 0 (Fleet.unanswered server);
   Alcotest.(check bool) "breaker cycled back to Closed" true
-    (Breaker.state (Server.breaker server) = `Closed);
+    (Breaker.state (Fleet.breaker server "mlp") = `Closed);
   Alcotest.(check bool) "some requests degraded" true
     (Serve_metrics.done_degraded m > 0)
 
@@ -414,19 +438,19 @@ let test_quantized_counter_tracks_degradation () =
   let config = Config.with_flags ~precision:`I8 Config.default in
   let server = make_server ~failure_threshold:2 ~faults ~config () in
   Alcotest.(check bool) "fast path is quantized" true
-    (Server.is_quantized server);
+    ((entry server).Registry.quantized);
   let b1 = submit_batch server ~seed0:700 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "healthy batch served fast" true
         (is_done ~degraded:false server id))
     b1;
-  let m = Server.metrics server in
+  let m = Fleet.metrics server in
   Alcotest.(check int) "healthy batch counted quantized" batch
     (Serve_metrics.done_quantized m);
   let b2 = submit_batch server ~seed0:800 in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   List.iter
     (fun id ->
       Alcotest.(check bool) "poisoned batch degraded to f32" true
@@ -452,22 +476,22 @@ let test_quantized_counter_tracks_degradation () =
   let plain =
     make_server ~config:(Config.with_flags ~precision:`F32 Config.default) ()
   in
-  ignore (Server.pump server);
+  ignore (Fleet.pump server);
   let p1 = submit_batch plain ~seed0:900 in
-  ignore (Server.pump plain);
+  ignore (Fleet.pump plain);
   List.iter
     (fun id ->
       Alcotest.(check bool) "f32 server serves fast" true
         (is_done ~degraded:false plain id))
     p1;
   Alcotest.(check int) "f32 server counts zero quantized" 0
-    (Serve_metrics.done_quantized (Server.metrics plain));
+    (Serve_metrics.done_quantized (Fleet.metrics plain));
   Alcotest.(check bool) "f32 report has no precision line" false
-    (Test_util.contains (Serve_metrics.report (Server.metrics plain))
+    (Test_util.contains (Serve_metrics.report (Fleet.metrics plain))
        "precision:")
 
 let test_lookup_unknown_buffer_diagnostic () =
-  let exec = (make_server () |> Server.fast_executor) in
+  let exec = (entry (make_server ())).Registry.fast in
   Alcotest.(check bool) "Invalid_argument with names" true
     (try
        ignore (Executor.lookup exec "no.such.buffer");

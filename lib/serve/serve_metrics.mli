@@ -40,7 +40,8 @@ val record_respawn : t -> unit
 
 val record_slack : t -> predicted:float -> actual:float -> unit
 (** One fast-path run's cost-model prediction vs its actual (simulated)
-    run time, feeding the deadline-slack distribution. *)
+    run time — the sum of its section times — feeding the deadline-slack
+    distribution. *)
 
 val record_batch : t -> unit
 val record_fast_failure : t -> unit

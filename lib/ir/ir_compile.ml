@@ -641,161 +641,6 @@ let compile_fast_loop ctx (l : loop) =
       generic
 
 (* ------------------------------------------------------------------ *)
-(* Quantized innermost-loop kernels                                    *)
-(*                                                                     *)
-(* When both source and destination are int8 buffers under the SAME    *)
-(* quantization code, the hot data-movement loops can run on raw       *)
-(* bytes: encode . decode is the identity for one code, relu with a    *)
-(* zero threshold is [max q 0] when zero_point = 0, and max commutes   *)
-(* with the monotone decode. Every combination without such an exact   *)
-(* raw counterpart falls back to the generic decoded path.             *)
-(* ------------------------------------------------------------------ *)
-
-type qaccess = {
-  qdata : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  qbase : unit -> int;
-  qstride : int;
-}
-
-let compile_q_fast_loop ctx (l : loop) =
-  let l = collapse_loop ctx l in
-  let body_stmt = match l.body with [ s ] -> s | _ -> raise Not_fast in
-  let kind, buf, idx, value =
-    match body_stmt with
-    | Store { buf; idx; value } -> (Dstore, buf, idx, value)
-    | Accum { op = Acc_sum; buf; idx; value } -> (Dsum, buf, idx, value)
-    | Accum { op = Acc_max; buf; idx; value } -> (Dmax, buf, idx, value)
-    | For _ | If _ | Memset _ | Gemm _ | Fusion_barrier _ | Extern _ ->
-        raise Not_fast
-  in
-  let var = l.var in
-  let st, flat = flat_of ctx buf idx in
-  let extract_i8 :
-      Tensor.store ->
-      Precision.qparams
-      * (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t =
-    function
-    | Tensor.Store (Precision.I8, qp, g) -> (qp, g.Tensor.data)
-    | _ -> raise Not_fast
-  in
-  let dqp, ddata = extract_i8 st in
-  let dstride =
-    match Ir_analysis.stride_of ~var flat with
-    | Some s -> s
-    | None -> raise Not_fast
-  in
-  let dbase = compile_i ctx (subst_iexpr var (Iconst 0) flat) in
-  (* An int8 operand is admissible only under the destination's code. *)
-  let qload e =
-    match e with
-    | Load (sbuf, sidx) ->
-        let sst, sflat = flat_of ctx sbuf sidx in
-        let qp', sdata = extract_i8 sst in
-        if qp' <> dqp then raise Not_fast;
-        let qstride =
-          match Ir_analysis.stride_of ~var sflat with
-          | Some s -> s
-          | None -> raise Not_fast
-        in
-        {
-          qdata = sdata;
-          qbase = compile_i ctx (subst_iexpr var (Iconst 0) sflat);
-          qstride;
-        }
-    | _ -> raise Not_fast
-  in
-  let clo = compile_i ctx l.lo and chi = compile_i ctx l.hi in
-  match (kind, value) with
-  | Dstore, Fconst c ->
-      bump_stat ctx "q_fill";
-      let q = Precision.quantize dqp c in
-      fun () ->
-        let lo = clo () and hi = chi () in
-        let db = dbase () in
-        for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) q
-        done
-  | Dstore, (Load _ as lv) when dstride = 1 ->
-      let s = qload lv in
-      if s.qstride <> 1 then begin
-        bump_stat ctx "q_copy_strided";
-        let ss = s.qstride in
-        fun () ->
-          let lo = clo () and hi = chi () in
-          let db = dbase () and sb = s.qbase () in
-          for i = lo to hi - 1 do
-            us ddata (db + i) (ug s.qdata (sb + (i * ss)))
-          done
-      end
-      else begin
-        bump_stat ctx "q_copy";
-        fun () ->
-          let lo = clo () and hi = chi () in
-          let db = dbase () and sb = s.qbase () in
-          let n = hi - lo in
-          if n >= 64 then
-            Bigarray.Array1.blit
-              (Bigarray.Array1.sub s.qdata (sb + lo) n)
-              (Bigarray.Array1.sub ddata (db + lo) n)
-          else
-            for i = lo to hi - 1 do
-              us ddata (db + i) (ug s.qdata (sb + i))
-            done
-      end
-  | Dstore, (Load _ as lv) ->
-      let s = qload lv in
-      bump_stat ctx "q_copy_strided";
-      let ss = s.qstride in
-      fun () ->
-        let lo = clo () and hi = chi () in
-        let db = dbase () and sb = s.qbase () in
-        for i = lo to hi - 1 do
-          us ddata (db + (i * dstride)) (ug s.qdata (sb + (i * ss)))
-        done
-  | Dstore, Fbinop (Fmax, (Load _ as lv), Fconst c)
-    when c = 0.0 && dqp.Precision.zero_point = 0 ->
-      let s = qload lv in
-      bump_stat ctx "q_relu";
-      let ss = s.qstride in
-      fun () ->
-        let lo = clo () and hi = chi () in
-        let db = dbase () and sb = s.qbase () in
-        for i = lo to hi - 1 do
-          let v = ug s.qdata (sb + (i * ss)) in
-          us ddata (db + (i * dstride)) (if v > 0 then v else 0)
-        done
-  | Dmax, (Load _ as lv) ->
-      let s = qload lv in
-      bump_stat ctx "q_acc_max";
-      let ss = s.qstride in
-      fun () ->
-        let lo = clo () and hi = chi () in
-        let db = dbase () and sb = s.qbase () in
-        for i = lo to hi - 1 do
-          let j = db + (i * dstride) in
-          let v = ug s.qdata (sb + (i * ss)) in
-          if v > ug ddata j then us ddata j v
-        done
-  | Dstore, Select (c, (Load _ as lv), Fconst z)
-    when z = 0.0 && dqp.Precision.zero_point = 0 ->
-      (* Padded gathers: the condition may reference loop indices and
-         f32 data freely (to_scond admits only f32 loads). *)
-      let s = qload lv in
-      let sc = to_scond ctx var c in
-      bump_stat ctx "q_copy_guarded";
-      let ss = s.qstride in
-      fun () ->
-        let lo = clo () and hi = chi () in
-        let db = dbase () and sb = s.qbase () in
-        resolve_scond sc;
-        for i = lo to hi - 1 do
-          us ddata
-            (db + (i * dstride))
-            (if eval_scond sc i then ug s.qdata (sb + (i * ss)) else 0)
-        done
-  | _ -> raise Not_fast
-
-(* ------------------------------------------------------------------ *)
 (* Parallel-loop partitioning (§5.4.3)                                 *)
 (*                                                                     *)
 (* A parallel-annotated loop is split into a parallel body — leaves    *)
@@ -1216,10 +1061,11 @@ let rec compile_stmt ctx benv s : unit -> unit =
       | _ -> compile_seq_for ctx benv l)
 
 and compile_seq_for ctx benv (l : loop) =
-  (* The specialized kernels below access buffers unsafely for the
-     whole nest, so they require a whole-nest proof; an unproven
-     nest falls back to the generic path where each access carries
-     its own verdict. *)
+  (* The specialized kernels access buffers unsafely for the whole
+     nest, so they require a whole-nest proof; an unproven nest falls
+     back to the generic path where each access carries its own
+     verdict. So does any loop touching packed storage: the generic
+     path decodes its loads and encodes its stores. *)
   let whole_nest_ok =
     match ctx.safety with
     | Unsafe -> true
@@ -1228,8 +1074,7 @@ and compile_seq_for ctx benv (l : loop) =
   in
   try
     if not whole_nest_ok then raise Not_fast;
-    try compile_fast_loop ctx l
-    with Not_fast -> compile_q_fast_loop ctx l
+    compile_fast_loop ctx l
   with Not_fast -> (
     let clo = compile_i ctx l.lo and chi = compile_i ctx l.hi in
     let benv' = Ir_bounds.bind_range l.var ~lo:l.lo ~hi:l.hi benv in

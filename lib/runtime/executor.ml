@@ -49,13 +49,12 @@ let compile_section safety runner token buffers (s : Program.section) =
         s.Program.stmts;
   }
 
-let prepare ?safety ?(opts = Run_opts.default) (prog : Program.t) =
+let prepare ?(opts = Run_opts.default) (prog : Program.t) =
   let safety =
-    (* The positional [?safety] (deprecated spelling) wins over the
-       record, which wins over the program's compile-time default. *)
-    match (safety, opts.Run_opts.safety) with
-    | Some s, _ | None, Some s -> s
-    | None, None ->
+    (* The record wins over the program's compile-time default. *)
+    match opts.Run_opts.safety with
+    | Some s -> s
+    | None ->
         if prog.Program.bounds_checks then Ir_compile.Guard_unproven
         else Ir_compile.Unsafe
   in

@@ -9,9 +9,8 @@
 
 type t
 
-(** The unified execution-knob record: what used to be scattered across
-    [Executor.prepare ?safety], [Program.bounds_checks] defaults and the
-    implicit choices of [Pipeline.compile_pair]. *)
+(** The unified execution-knob record, accepted uniformly by
+    {!prepare}, [Pipeline.compile_pair] and [Registry.create]. *)
 module Run_opts : sig
   type t = {
     safety : Ir_compile.safety option;
@@ -49,11 +48,9 @@ module Run_opts : sig
   val with_token : Ir_compile.token -> t -> t
 end
 
-val prepare : ?safety:Ir_compile.safety -> ?opts:Run_opts.t -> Program.t -> t
+val prepare : ?opts:Run_opts.t -> Program.t -> t
 (** Code-generate every section under [opts] (default
-    {!Run_opts.default}). [?safety] is the deprecated spelling of
-    [opts.safety] kept for existing callers; when both are given the
-    positional argument wins. *)
+    {!Run_opts.default}). *)
 
 val program : t -> Program.t
 

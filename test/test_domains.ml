@@ -335,7 +335,7 @@ let run_opts_resolution () =
       prog
   in
   check_int "domains clamped" 1 (Executor.domains e0);
-  (* opts.safety is honored... *)
+  (* opts.safety is honored. *)
   let eu =
     Executor.prepare
       ~opts:(Executor.Run_opts.with_safety Ir_compile.Unsafe Executor.Run_opts.default)
@@ -343,14 +343,6 @@ let run_opts_resolution () =
   in
   check "opts safety" true
     ((Executor.run_opts eu).Executor.Run_opts.safety = Some Ir_compile.Unsafe);
-  (* ...but the deprecated positional argument wins when both appear. *)
-  let ec =
-    Executor.prepare ~safety:Ir_compile.Checked
-      ~opts:(Executor.Run_opts.with_safety Ir_compile.Unsafe Executor.Run_opts.default)
-      prog
-  in
-  check "positional safety wins" true
-    ((Executor.run_opts ec).Executor.Run_opts.safety = Some Ir_compile.Checked);
   (* With neither, the policy derives from Program.bounds_checks. *)
   let ed = Executor.prepare prog in
   check "derived safety" true

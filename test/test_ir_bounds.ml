@@ -415,7 +415,11 @@ let test_broken_pass_caught () =
       Alcotest.(check bool) "diagnostic names out-of-bounds" true
         (Test_util.contains msg "out-of-bounds"));
   (* Opting out of bounds checks is an explicit decision. *)
-  let unsafe = Executor.prepare ~safety:Ir_compile.Unsafe prog in
+  let unsafe =
+    Executor.prepare
+      ~opts:(Executor.Run_opts.with_safety Ir_compile.Unsafe Executor.Run_opts.default)
+      prog
+  in
   Executor.forward unsafe
 
 (* --- Ir_linear properties -------------------------------------- *)

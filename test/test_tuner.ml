@@ -327,7 +327,13 @@ let test_prepare_domains_pickup () =
   Fun.protect
     ~finally:(fun () -> Unix.putenv "LATTE_TUNE_CACHE" "off")
     (fun () ->
-      let exec = Executor.prepare prog in
+      (* The cache is consulted only at the sequential default; pin it,
+         since LATTE_DOMAINS may set another. *)
+      let exec =
+        Executor.prepare
+          ~opts:{ Executor.Run_opts.default with Executor.Run_opts.domains = 1 }
+          prog
+      in
       Alcotest.(check int) "auto_tune raises domains to the tuned count" 2
         (Executor.domains exec);
       let pinned =

@@ -99,13 +99,10 @@ val compile :
 
     [store_of] resolves buffers precision-aware (it defaults to wrapping
     [lookup] as f32). Accesses to f32 buffers compile exactly as before;
-    packed buffers (int8/f16) compile to decode-on-load /
-    encode-on-store closures, GEMMs over them dispatch to the
-    specialized {!Qblas} kernels, and int8-to-int8 data movement under a
-    shared quantization code is emitted as raw-byte kernels
-    ([q_copy], [q_relu], [q_acc_max], ... in {!kernel_stats}). [lookup]
-    is still used to hand Externs their f32 view, so extern-touched
-    buffers must stay f32.
+    loops over packed buffers (int8/f16) compile to decode-on-load /
+    encode-on-store closures, and GEMMs over them dispatch to the
+    specialized {!Qblas} kernels. [lookup] is still used to hand Externs
+    their f32 view, so extern-touched buffers must stay f32.
 
     With [runner] (and [runner.workers > 1]), outermost
     [parallel]-annotated loops execute chunked across the runner's

@@ -496,6 +496,20 @@ let gemm_proven env ~shape_of g =
       | Guard _ | Flag _ -> false)
     (gemm_operands g)
 
+let check_gemm_spans (g : gemm) ~m ~n ~k ~off_a ~off_b ~off_c ~extent_a
+    ~extent_b ~extent_c =
+  let check what buf off len extent =
+    if off < 0 || len < 0 || off + len > extent then
+      invalid_arg
+        (Printf.sprintf
+           "latte: out-of-bounds gemm operand %s: buffer %s span [%d, %d) \
+            outside extent [0, %d)"
+           what buf off (off + len) extent)
+  in
+  check "A" g.a off_a (m * k) extent_a;
+  check "B" g.b off_b (k * n) extent_b;
+  check "C" g.c off_c (m * n) extent_c
+
 (* ---- region walk -------------------------------------------------- *)
 
 type acc = {

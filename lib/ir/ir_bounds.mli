@@ -156,6 +156,26 @@ val gemm_proven :
   env -> shape_of:(string -> int array option) -> Ir.gemm -> bool
 (** All three operand spans [off + \[0, rows·cols)] provably fit. *)
 
+val check_gemm_spans :
+  Ir.gemm ->
+  m:int ->
+  n:int ->
+  k:int ->
+  off_a:int ->
+  off_b:int ->
+  off_c:int ->
+  extent_a:int ->
+  extent_b:int ->
+  extent_c:int ->
+  unit
+(** The run-time twin of {!gemm_proven}, over evaluated sizes and
+    offsets: raise [Invalid_argument "latte: out-of-bounds gemm operand
+    ..."], naming the operand (A, B or C), its buffer and its span,
+    unless each span [\[off, off + rows·cols)] lies in
+    [\[0, extent)]. The GEMM kernels never check bounds, so every call
+    is either proven or passes this check first: {!Ir_compile} runs it
+    on unproven calls, {!Ir_eval} on every call. *)
+
 val stmt_proven :
   env -> shape_of:(string -> int array option) -> Ir.stmt -> bool
 (** Every access anywhere inside the statement is proven — the gate for

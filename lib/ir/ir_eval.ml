@@ -128,6 +128,11 @@ let rec exec env s =
       let off_a = eval_i env g.off_a
       and off_b = eval_i env g.off_b
       and off_c = eval_i env g.off_c in
+      (* The kernels trust their spans; check them before dispatch so an
+         out-of-range call raises without writing anything. *)
+      Ir_bounds.check_gemm_spans g ~m ~n ~k ~off_a ~off_b ~off_c
+        ~extent_a:(Tensor.store_numel sa) ~extent_b:(Tensor.store_numel sb)
+        ~extent_c:(Tensor.store_numel sc);
       match
         (Tensor.store_f32_data sa, Tensor.store_f32_data sb,
          Tensor.store_f32_data sc)

@@ -20,7 +20,10 @@ val run :
   unit
 (** Execute the statements against the given buffer environment.
     Raises [Failure] on unbound variables/buffers and
-    [Invalid_argument] on out-of-bounds accesses. [trace] is called
+    [Invalid_argument] on out-of-bounds accesses. A GEMM's operand
+    spans pass {!Ir_bounds.check_gemm_spans} before the kernel runs,
+    since the kernels never check bounds: an out-of-range call raises
+    without writing. [trace] is called
     with (buffer, flattened index) for every element access {e before}
     the bounds check — the dynamic-oracle hook the fuzz tests use to
     cross-check {!Ir_bounds} verdicts against observed indices.

@@ -164,6 +164,50 @@ let test_gemm_stmt () =
   in
   check_agree (run_both [ g ])
 
+(* The GEMM kernels never check bounds, so both paths check a call's
+   operand spans before dispatch: C = [8, 24) of a 16-element buffer
+   must raise, naming C, and leave C untouched. *)
+let test_gemm_span_checked () =
+  let g =
+    {
+      transa = false;
+      transb = false;
+      m = i 4;
+      n = i 4;
+      k = i 4;
+      a = "ga";
+      off_a = i 0;
+      b = "gb";
+      off_b = i 0;
+      c = "gc";
+      off_c = i 8;
+      alpha = 1.0;
+      beta = 1.0;
+      gemm_tile = None;
+    }
+  in
+  let check_path what run =
+    let pool = Buffer_pool.create () in
+    let rng = Rng.create 3 in
+    List.iter
+      (fun name ->
+        Tensor.fill_uniform rng (Buffer_pool.alloc pool name (Shape.create [ 16 ]))
+          ~lo:(-1.0) ~hi:1.0)
+      [ "ga"; "gb"; "gc" ];
+    let before = Tensor.to_array (Buffer_pool.lookup pool "gc") in
+    (match run (Buffer_pool.lookup pool) [ Gemm g ] with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        if not (Test_util.contains msg "out-of-bounds gemm operand C") then
+          Alcotest.failf "%s: unexpected message %S" what msg);
+    Alcotest.(check (array (float 0.0)))
+      (what ^ ": C unchanged") before
+      (Tensor.to_array (Buffer_pool.lookup pool "gc"))
+  in
+  check_path "Ir_eval" (fun lookup stmts -> Ir_eval.run ~lookup stmts);
+  check_path "Ir_compile" (fun lookup stmts ->
+      Ir_compile.run (Ir_compile.compile ~lookup stmts) ())
+
 let test_memset () =
   check_agree (run_both [ Memset { buf = "dst"; value = 3.5 } ])
 
@@ -287,6 +331,7 @@ let suite =
     Alcotest.test_case "select guard" `Quick test_select_guard;
     Alcotest.test_case "if stmt" `Quick test_if_stmt;
     Alcotest.test_case "gemm stmt" `Quick test_gemm_stmt;
+    Alcotest.test_case "gemm span checked" `Quick test_gemm_span_checked;
     Alcotest.test_case "memset" `Quick test_memset;
     Alcotest.test_case "dynamic bounds" `Quick test_dynamic_bounds;
     Alcotest.test_case "float_of_int" `Quick test_float_of_int;

@@ -91,6 +91,92 @@ let test_axpy_dot_scal () =
 let test_flops () =
   Alcotest.(check (float 0.0)) "2mnk" 24.0 (Blas.gemm_flops ~m:2 ~n:2 ~k:3)
 
+(* Qblas against an independent reference: a plain float-array triple
+   loop over operands dequantized with [Precision], so a wrong load,
+   stride, offset or zero point in any kernel shows. The compiled-vs-
+   interpreter differential cannot see such an error, because both
+   paths dispatch the same Qblas kernels. *)
+
+type qkind = Qf32 | Qi8 of Precision.qparams | Qf16
+
+(* A packed operand of [n] elements and its dequantized values. Each
+   value is drawn exactly representable in the operand's kind, so the
+   store holds precisely the values the reference multiplies. *)
+let qoperand rng kind n =
+  let uniform () = Rng.uniform rng ~lo:(-1.0) ~hi:1.0 in
+  let prec, qparams, draw =
+    match kind with
+    | Qf32 ->
+        ( Precision.Any Precision.F32,
+          Precision.qid,
+          fun () -> Int32.float_of_bits (Int32.bits_of_float (uniform ())) )
+    | Qi8 qp ->
+        ( Precision.Any Precision.I8,
+          qp,
+          fun () -> Precision.dequantize qp (Rng.int rng 256 - 128) )
+    | Qf16 ->
+        ( Precision.Any Precision.F16,
+          Precision.qid,
+          fun () -> Precision.f16_decode (Precision.f16_encode (uniform ())) )
+  in
+  let st = Tensor.store_create ~qparams prec [| n |] in
+  let values = Array.init n (fun _ -> draw ()) in
+  Array.iteri (Tensor.store_set1 st) values;
+  (st, values)
+
+let test_qblas_reference () =
+  let qa = { Precision.scale = 0.013; zero_point = 3 }
+  and qb = { Precision.scale = 0.021; zero_point = -5 } in
+  let m = 5 and n = 7 and k = 9 in
+  let off_a = 3 and off_b = 5 and off_c = 2 and pad = 4 in
+  List.iter
+    (fun (ka, kb, kernel) ->
+      List.iter
+        (fun (transa, transb) ->
+          List.iter
+            (fun (alpha, beta) ->
+              let rng = Rng.create 17 in
+              let a, da = qoperand rng ka (off_a + (m * k) + pad) in
+              let b, db = qoperand rng kb (off_b + (k * n) + pad) in
+              let c, dc = qoperand rng Qf32 (off_c + (m * n) + pad) in
+              Alcotest.(check string) "dispatch" kernel (Qblas.kernel_name a b c);
+              let opa i p = da.(off_a + if transa then (p * m) + i else (i * k) + p)
+              and opb p j = db.(off_b + if transb then (j * k) + p else (p * n) + j) in
+              Qblas.gemm ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b
+                ~c ~off_c ();
+              let got = Tensor.store_to_f32 c in
+              Array.iteri
+                (fun ci c0 ->
+                  let expected =
+                    let r = ci - off_c in
+                    if r < 0 || r >= m * n then c0
+                    else begin
+                      let i = r / n and j = r mod n in
+                      let acc = ref 0.0 in
+                      for p = 0 to k - 1 do
+                        acc := !acc +. (opa i p *. opb p j)
+                      done;
+                      (beta *. c0) +. (alpha *. !acc)
+                    end
+                  in
+                  let v = Tensor.get1 got ci in
+                  if Float.abs (v -. expected) > 1e-5 *. Float.max 1.0 (Float.abs expected)
+                  then
+                    Alcotest.failf "%s %c%c alpha=%g beta=%g: C[%d] = %g, expected %g"
+                      kernel
+                      (if transa then 'T' else 'N')
+                      (if transb then 'T' else 'N')
+                      alpha beta ci v expected)
+                dc)
+            [ (1.0, 0.0); (1.0, 0.5); (1.0, 1.0); (-1.75, 0.0); (-1.75, 0.5); (-1.75, 1.0) ])
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    [
+      (Qi8 qa, Qi8 qb, "gemm_i8i8");
+      (Qf32, Qi8 qb, "gemm_f32i8");
+      (Qi8 qa, Qf32, "gemm_i8f32");
+      (Qf16, Qi8 qb, "gemm_mixed");
+    ]
+
 let size_gen = QCheck.Gen.int_range 1 24
 
 let prop_gemm_random =
@@ -122,5 +208,6 @@ let suite =
     Alcotest.test_case "gemv" `Quick test_gemv;
     Alcotest.test_case "axpy/dot/scal" `Quick test_axpy_dot_scal;
     Alcotest.test_case "gemm_flops" `Quick test_flops;
+    Alcotest.test_case "qblas kernels = float reference" `Quick test_qblas_reference;
     QCheck_alcotest.to_alcotest prop_gemm_random;
   ]

@@ -13,9 +13,14 @@
 type compiled
 
 type safety =
-  | Unsafe  (** Every access uses [unsafe_get]/[unsafe_set]. *)
+  | Unsafe
+      (** Every access is a bare load or store
+          ({!Tensor.buffer_get}/{!Tensor.buffer_set}) with no bounds
+          check, and GEMM spans go unchecked: an out-of-range index
+          reads or writes outside the buffer. *)
   | Guard_unproven
-      (** Accesses {!Ir_bounds} proves in-bounds stay unsafe; the rest
+      (** Accesses {!Ir_bounds} proves in-bounds compile to bare loads
+          and stores, and proven GEMMs call the kernel directly; the rest
           compile to a runtime check raising [Invalid_argument] naming
           the buffer, the attempted index and the extent. Specialized
           innermost-loop kernels require a whole-nest proof. *)

@@ -39,6 +39,11 @@ let create ?(params = default_params) ?clip_norm ?(nesterov = false) method_ exe
       (fun (p : Program.param) ->
         let value = Executor.lookup exec p.value_buf in
         let grad = Executor.lookup exec p.grad_buf in
+        (* [update_param] loads both without a bounds check. *)
+        if Tensor.numel grad <> Tensor.numel value then
+          invalid_arg
+            (Printf.sprintf "Solver.create: %s has %d elements, its gradient %d"
+               p.value_buf (Tensor.numel value) (Tensor.numel grad));
         let state1 = Tensor.create (Tensor.shape value) in
         let state2 =
           match method_ with
@@ -67,59 +72,68 @@ let reset_state t =
 
 let learning_rate t = t.lr_scale *. Lr_policy.at t.params.lr_policy ~iter:t.iter
 
+(* Read each buffer once per parameter and load through the typed pair:
+   [Tensor.unsafe_get] from this module is an out-of-line call that
+   boxes every float. *)
+let ug = Tensor.buffer_get
+let us = Tensor.buffer_set
+
 let update_param t ~lr ps =
   let n = Tensor.numel ps.value in
   let lr = lr *. ps.param.Program.lr_mult in
   let wd = t.params.weight_decay in
+  let value = Tensor.data ps.value
+  and grad = Tensor.data ps.grad
+  and state1 = Tensor.data ps.state1 in
   match t.method_ with
   | Sgd ->
       let mom = t.params.momentum in
       if t.nesterov then
         for i = 0 to n - 1 do
-          let w = Tensor.unsafe_get ps.value i in
-          let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-          let v = (mom *. Tensor.unsafe_get ps.state1 i) +. (lr *. g) in
-          Tensor.unsafe_set ps.state1 i v;
+          let w = ug value i in
+          let g = ug grad i +. (wd *. w) in
+          let v = (mom *. ug state1 i) +. (lr *. g) in
+          us state1 i v;
           (* Look-ahead step: w -= lr*g + mom*v'. *)
-          Tensor.unsafe_set ps.value i (w -. ((lr *. g) +. (mom *. v)))
+          us value i (w -. ((lr *. g) +. (mom *. v)))
         done
       else
         for i = 0 to n - 1 do
-          let w = Tensor.unsafe_get ps.value i in
-          let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-          let v = (mom *. Tensor.unsafe_get ps.state1 i) +. (lr *. g) in
-          Tensor.unsafe_set ps.state1 i v;
-          Tensor.unsafe_set ps.value i (w -. v)
+          let w = ug value i in
+          let g = ug grad i +. (wd *. w) in
+          let v = (mom *. ug state1 i) +. (lr *. g) in
+          us state1 i v;
+          us value i (w -. v)
         done
   | Rmsprop { decay; epsilon } ->
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let ms = (decay *. Tensor.unsafe_get ps.state1 i) +. ((1.0 -. decay) *. g *. g) in
-        Tensor.unsafe_set ps.state1 i ms;
-        Tensor.unsafe_set ps.value i (w -. (lr *. g /. (sqrt ms +. epsilon)))
+        let w = ug value i in
+        let g = ug grad i +. (wd *. w) in
+        let ms = (decay *. ug state1 i) +. ((1.0 -. decay) *. g *. g) in
+        us state1 i ms;
+        us value i (w -. (lr *. g /. (sqrt ms +. epsilon)))
       done
   | Adagrad { epsilon } ->
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let acc = Tensor.unsafe_get ps.state1 i +. (g *. g) in
-        Tensor.unsafe_set ps.state1 i acc;
-        Tensor.unsafe_set ps.value i (w -. (lr *. g /. (sqrt acc +. epsilon)))
+        let w = ug value i in
+        let g = ug grad i +. (wd *. w) in
+        let acc = ug state1 i +. (g *. g) in
+        us state1 i acc;
+        us value i (w -. (lr *. g /. (sqrt acc +. epsilon)))
       done
   | Adam { beta1; beta2; epsilon } ->
-      let m2 = Option.get ps.state2 in
+      let m2 = Tensor.data (Option.get ps.state2) in
       let step = float_of_int (t.iter + 1) in
       let c1 = 1.0 -. (beta1 ** step) and c2 = 1.0 -. (beta2 ** step) in
       for i = 0 to n - 1 do
-        let w = Tensor.unsafe_get ps.value i in
-        let g = Tensor.unsafe_get ps.grad i +. (wd *. w) in
-        let m = (beta1 *. Tensor.unsafe_get ps.state1 i) +. ((1.0 -. beta1) *. g) in
-        let v = (beta2 *. Tensor.unsafe_get m2 i) +. ((1.0 -. beta2) *. g *. g) in
-        Tensor.unsafe_set ps.state1 i m;
-        Tensor.unsafe_set m2 i v;
+        let w = ug value i in
+        let g = ug grad i +. (wd *. w) in
+        let m = (beta1 *. ug state1 i) +. ((1.0 -. beta1) *. g) in
+        let v = (beta2 *. ug m2 i) +. ((1.0 -. beta2) *. g *. g) in
+        us state1 i m;
+        us m2 i v;
         let mhat = m /. c1 and vhat = v /. c2 in
-        Tensor.unsafe_set ps.value i (w -. (lr *. mhat /. (sqrt vhat +. epsilon)))
+        us value i (w -. (lr *. mhat /. (sqrt vhat +. epsilon)))
       done
 
 let apply_clipping t =

@@ -1,7 +1,7 @@
 type buffer = Tensor.buffer
 
-let ug = Bigarray.Array1.unsafe_get
-let us = Bigarray.Array1.unsafe_set
+let ug = Tensor.buffer_get
+let us = Tensor.buffer_set
 
 let gemm_flops ~m ~n ~k = 2.0 *. float_of_int m *. float_of_int n *. float_of_int k
 

@@ -8,7 +8,15 @@
 
     Conventions: matrices are packed row-major. [gemm] computes
     [C := alpha * op(A) * op(B) + beta * C] where [op(A)] is [m x k]
-    and [op(B)] is [k x n]; [transa] means A is stored [k x m]. *)
+    and [op(B)] is [k x n]; [transa] means A is stored [k x m].
+
+    {b No kernel checks bounds.} Every element access is an inline
+    {!Tensor.buffer_get}/{!Tensor.buffer_set}, so an index outside a
+    buffer reads or writes past it. Callers keep each span in range:
+    for a GEMM, [\[off_a, off_a + m·k)], [\[off_b, off_b + k·n)] and
+    [\[off_c, off_c + m·n)] lie inside their buffers. On the compiled
+    path that is an [Ir_bounds] proof or the guarded GEMM's span check;
+    in [Ir_eval] it is the same span check, run on every call. *)
 
 type buffer = Tensor.buffer
 

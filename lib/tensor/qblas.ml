@@ -11,8 +11,13 @@
    op(A) is m x k and op(B) is k x n as in {!Blas}; [transa] means A is
    stored k x m. C is always m x n at [off_c]. *)
 
-let ug = Bigarray.Array1.unsafe_get
-let us = Bigarray.Array1.unsafe_set
+type i8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let ug = Tensor.buffer_get
+let us = Tensor.buffer_set
+
+(* The int8 twin of [ug]: typed, so it compiles to an inline load. *)
+external ug8 : i8 -> int -> int = "%caml_ba_unsafe_ref_1"
 
 (* Strides of op(A)[i,p]: (per-i, per-p). *)
 let strides_a ~transa ~m ~k = if transa then (1, m) else (k, 1)
@@ -48,9 +53,8 @@ let kernel_name a b c =
 
 (* int8 x int8 -> f32: integer dot products (native int subsumes the
    int32 accumulator), one float rescale per C element. *)
-let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t)
-    ~off_a ~qb ~(b : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_b
-    ~(c : Tensor.buffer) ~off_c =
+let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a ~qb
+    ~(b : i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
   let za = qa.Precision.zero_point and zb = qb.Precision.zero_point in
@@ -64,19 +68,19 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : (int, Bigarray.int8_sign
       let ia = ref row_a and ib = ref col_b in
       let p = ref 0 in
       while !p + 3 < k do
-        let a0 = ug a !ia - za and b0 = ug b !ib - zb in
-        let a1 = ug a (!ia + as_p) - za and b1 = ug b (!ib + bs_p) - zb in
-        let a2 = ug a (!ia + (2 * as_p)) - za
-        and b2 = ug b (!ib + (2 * bs_p)) - zb in
-        let a3 = ug a (!ia + (3 * as_p)) - za
-        and b3 = ug b (!ib + (3 * bs_p)) - zb in
+        let a0 = ug8 a !ia - za and b0 = ug8 b !ib - zb in
+        let a1 = ug8 a (!ia + as_p) - za and b1 = ug8 b (!ib + bs_p) - zb in
+        let a2 = ug8 a (!ia + (2 * as_p)) - za
+        and b2 = ug8 b (!ib + (2 * bs_p)) - zb in
+        let a3 = ug8 a (!ia + (3 * as_p)) - za
+        and b3 = ug8 b (!ib + (3 * bs_p)) - zb in
         acc := !acc + (a0 * b0) + (a1 * b1) + (a2 * b2) + (a3 * b3);
         ia := !ia + (4 * as_p);
         ib := !ib + (4 * bs_p);
         p := !p + 4
       done;
       while !p < k do
-        acc := !acc + ((ug a !ia - za) * (ug b !ib - zb));
+        acc := !acc + ((ug8 a !ia - za) * (ug8 b !ib - zb));
         ia := !ia + as_p;
         ib := !ib + bs_p;
         incr p
@@ -88,8 +92,7 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : (int, Bigarray.int8_sign
 
 (* Weight-only int8: f32 activations against int8 weights (B). *)
 let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
-    ~(b : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_b
-    ~(c : Tensor.buffer) ~off_c =
+    ~(b : i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
   let zb = qb.Precision.zero_point in
@@ -105,18 +108,18 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
       while !p + 3 < k do
         acc :=
           !acc
-          +. (ug a !ia *. float_of_int (ug b !ib - zb))
-          +. (ug a (!ia + as_p) *. float_of_int (ug b (!ib + bs_p) - zb))
+          +. (ug a !ia *. float_of_int (ug8 b !ib - zb))
+          +. (ug a (!ia + as_p) *. float_of_int (ug8 b (!ib + bs_p) - zb))
           +. (ug a (!ia + (2 * as_p))
-             *. float_of_int (ug b (!ib + (2 * bs_p)) - zb))
+             *. float_of_int (ug8 b (!ib + (2 * bs_p)) - zb))
           +. (ug a (!ia + (3 * as_p))
-             *. float_of_int (ug b (!ib + (3 * bs_p)) - zb));
+             *. float_of_int (ug8 b (!ib + (3 * bs_p)) - zb));
         ia := !ia + (4 * as_p);
         ib := !ib + (4 * bs_p);
         p := !p + 4
       done;
       while !p < k do
-        acc := !acc +. (ug a !ia *. float_of_int (ug b !ib - zb));
+        acc := !acc +. (ug a !ia *. float_of_int (ug8 b !ib - zb));
         ia := !ia + as_p;
         ib := !ib + bs_p;
         incr p
@@ -127,8 +130,7 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
   done
 
 (* Activation-only int8: int8 A against f32 B. *)
-let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa
-    ~(a : (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t) ~off_a
+let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a
     ~(b : Tensor.buffer) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
@@ -142,7 +144,7 @@ let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa
       let acc = ref 0.0 in
       let ia = ref row_a and ib = ref col_b in
       for _p = 0 to k - 1 do
-        acc := !acc +. (float_of_int (ug a !ia - za) *. ug b !ib);
+        acc := !acc +. (float_of_int (ug8 a !ia - za) *. ug b !ib);
         ia := !ia + as_p;
         ib := !ib + bs_p
       done;

@@ -6,7 +6,13 @@
     through their {!Precision.qparams}; specialized kernels cover the
     int8 x int8 (integer accumulation) and weight-only int8 cases, a
     decoded fallback handles every other combination. All-f32 calls
-    delegate to {!Blas.gemm} and are bit-identical to it. *)
+    delegate to {!Blas.gemm} and are bit-identical to it.
+
+    Like {!Blas}, no kernel checks bounds: f32 operands load through
+    {!Tensor.buffer_get}, int8 operands through the int8 twin of it, and
+    packed operands through {!Tensor.store_reader}, all unchecked.
+    Callers keep each operand span inside its store, exactly as for
+    {!Blas.gemm}. *)
 
 val kernel_name : Tensor.store -> Tensor.store -> Tensor.store -> string
 (** Which kernel a (A, B, C) kind combination dispatches to: ["gemm"],

@@ -13,6 +13,9 @@ type buffer =
 
 type t = (float, Bigarray.float32_elt) gen
 
+external buffer_get : buffer -> int -> float = "%caml_ba_unsafe_ref_1"
+external buffer_set : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+
 let create shape =
   let n = Shape.numel shape in
   let data = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
@@ -42,21 +45,25 @@ let of_array shape a =
   Array.iteri (fun i v -> Bigarray.Array1.set t.data i v) a;
   t
 
-let to_array t = Array.init (numel t) (fun i -> Bigarray.Array1.get t.data i)
+(* The [(t : t)] annotations pin the element kind, so each access
+   compiles to an inline load or store rather than the generic
+   [caml_ba_get_1]/[caml_ba_set_1] C call. *)
+let to_array (t : t) =
+  Array.init (numel t) (fun i -> Bigarray.Array1.get t.data i)
 
-let get t idx = Bigarray.Array1.get t.data (Shape.ravel t.shape idx)
-let set t idx v = Bigarray.Array1.set t.data (Shape.ravel t.shape idx) v
+let get (t : t) idx = Bigarray.Array1.get t.data (Shape.ravel t.shape idx)
+let set (t : t) idx v = Bigarray.Array1.set t.data (Shape.ravel t.shape idx) v
 
-let get1 t i =
+let get1 (t : t) i =
   if i < 0 || i >= numel t then invalid_arg "Tensor.get1: out of bounds";
   Bigarray.Array1.get t.data i
 
-let set1 t i v =
+let set1 (t : t) i v =
   if i < 0 || i >= numel t then invalid_arg "Tensor.set1: out of bounds";
   Bigarray.Array1.set t.data i v
 
-let unsafe_get t i = Bigarray.Array1.unsafe_get t.data i
-let unsafe_set t i v = Bigarray.Array1.unsafe_set t.data i v
+let unsafe_get (t : t) i = buffer_get t.data i
+let unsafe_set (t : t) i v = buffer_set t.data i v
 
 let fill t v = Bigarray.Array1.fill t.data v
 

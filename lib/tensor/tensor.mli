@@ -21,6 +21,20 @@ type buffer =
 
 type t = (float, Bigarray.float32_elt) gen
 
+external buffer_get : buffer -> int -> float = "%caml_ba_unsafe_ref_1"
+(** The typed f32 load every kernel binds. Each call site compiles to an
+    inline load, with the same float32 widening as
+    [Bigarray.Array1.get] but {b no bounds check}: the caller keeps
+    every index in [\[0, dim)]. On the compiled path that is an
+    [Ir_bounds] proof or a runtime guard; in [Ir_eval] it is the GEMM
+    span check. A Bigarray primitive applied where the element kind is
+    not known compiles to the generic [caml_ba_get_1] C call instead,
+    so kernels bind this rather than [Bigarray.Array1.unsafe_get]. *)
+
+external buffer_set : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+(** The store twin of {!buffer_get}: an inline store that rounds to
+    float32 and never checks bounds. *)
+
 val create : Shape.t -> t
 (** Zero-initialized tensor. *)
 
@@ -46,7 +60,12 @@ val get1 : t -> int -> float
 val set1 : t -> int -> float -> unit
 
 val unsafe_get : t -> int -> float
+(** Flat access without a bounds check (see {!buffer_get}): the caller
+    keeps [i] in [\[0, numel t)]. A call from another module is an
+    out-of-line call; hot loops bind {!buffer_get} on {!data} instead. *)
+
 val unsafe_set : t -> int -> float -> unit
+(** The unchecked store twin of {!unsafe_get}. *)
 
 val fill : t -> float -> unit
 val copy : t -> t

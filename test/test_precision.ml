@@ -143,6 +143,15 @@ let test_quantized_compiled_vs_eval build () =
   let packed_b = Quantize.apply prog_b ~kind:(Precision.Any Precision.I8) absmax in
   Alcotest.(check int) "identical packing" packed_a packed_b;
   let exec_a = Executor.prepare prog_a in
+  (* The packed gather, -inf fill and pool max run in the strided loop
+     compiler, not the per-node closure path. *)
+  let decoded =
+    Option.value ~default:0
+      (List.assoc_opt "decoded" (Executor.kernel_stats exec_a))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "decoded loops (%d) >= 3" decoded)
+    true (decoded >= 3);
   fill prog_a.Program.buffers;
   fill prog_b.Program.buffers;
   Executor.forward exec_a;

@@ -391,15 +391,19 @@ let train model batch image width_div fc_div config passes verify iters lr
   let spec = build_model model ~batch ~image ~width_div ~fc_div in
   let prog, _report = compile_with ?passes ~verify config spec.Models.net in
   let exec = Executor.prepare ~opts:(run_opts_of config) prog in
-  let flat = String.equal model "mlp" in
-  let all = Synthetic.mnist_like ~image ~seed:11 ~n:768 () in
+  let data_buf = spec.Models.data_ens ^ ".value" in
+  (* Gray synthetic images with as many channels as the model's input
+     takes; a flat input (mlp) gets one row per image. *)
   let all =
-    if flat then
-      { all with
-        Synthetic.features =
-          Tensor.reshape all.Synthetic.features
-            (Shape.create [ 768; image * image ]) }
-    else all
+    match Buffer_pool.shape prog.Program.buffers data_buf with
+    | [| _; _; _; channels |] ->
+        Synthetic.mnist_like ~image ~channels ~seed:11 ~n:768 ()
+    | _ ->
+        let all = Synthetic.mnist_like ~image ~seed:11 ~n:768 () in
+        { all with
+          Synthetic.features =
+            Tensor.reshape all.Synthetic.features
+              (Shape.create [ 768; image * image ]) }
   in
   let train_set, eval_set = Synthetic.split all ~at:512 in
   let params =
@@ -408,7 +412,6 @@ let train model batch image width_div fc_div config passes verify iters lr
   in
   let solver = Solver.create ~params Solver.Sgd exec in
   let log ~iter ~loss = Printf.printf "iter %4d  loss %.4f\n%!" iter loss in
-  let data_buf = spec.Models.data_ens ^ ".value" in
   (match (faults_spec, ckpt_dir) with
   | None, None ->
       ignore

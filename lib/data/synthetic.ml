@@ -40,13 +40,13 @@ let smooth_prototype rng ~image ~grid =
   in
   Array.init (image * image) (fun i -> sample (i / image) (i mod image))
 
-let mnist_like ?(image = 28) ?(n_classes = 10) ~seed ~n () =
+let mnist_like ?(image = 28) ?(channels = 1) ?(n_classes = 10) ~seed ~n () =
   let rng = Rng.create seed in
   let prototypes =
     Array.init n_classes (fun _ -> smooth_prototype rng ~image ~grid:5)
   in
-  let d = image * image in
-  let features = Tensor.create (Shape.create [ n; image; image; 1 ]) in
+  let d = image * image * channels in
+  let features = Tensor.create (Shape.create [ n; image; image; channels ]) in
   let labels = Tensor.create (Shape.create [ n ]) in
   let max_shift = 2 in
   for i = 0 to n - 1 do
@@ -64,8 +64,11 @@ let mnist_like ?(image = 28) ?(n_classes = 10) ~seed ~n () =
             proto.((yy * image) + xx)
           else 0.0
         in
-        Tensor.set1 features (base + (y * image) + x)
-          (v +. (0.3 *. Rng.gaussian rng))
+        let v = v +. (0.3 *. Rng.gaussian rng) in
+        let p = base + (((y * image) + x) * channels) in
+        for c = 0 to channels - 1 do
+          Tensor.set1 features (p + c) v
+        done
       done
     done
   done;

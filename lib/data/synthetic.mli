@@ -25,12 +25,18 @@ val gaussian_classes :
     so ~2.0 is easy and ~0.5 is hard. *)
 
 val mnist_like :
-  ?image:int -> ?n_classes:int -> seed:int -> n:int -> unit -> dataset
+  ?image:int ->
+  ?channels:int ->
+  ?n_classes:int ->
+  seed:int ->
+  n:int ->
+  unit ->
+  dataset
 (** An MNIST-like stand-in: smooth low-frequency class prototypes
-    rendered at [image]x[image]x1, with per-sample pixel noise and
-    random ±2px shifts — enough structure that an MLP trains to >97%
-    like the paper's MNIST setup, while requiring translation
-    robustness. *)
+    rendered at [image]x[image]x[channels] (default 1; every channel
+    holds the same gray value), with per-sample pixel noise and random
+    ±2px shifts — enough structure that an MLP trains to >97% like the
+    paper's MNIST setup, while requiring translation robustness. *)
 
 val split : dataset -> at:int -> dataset * dataset
 (** Train/eval split: the first [at] items and the rest (views, no

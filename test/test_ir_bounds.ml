@@ -426,74 +426,21 @@ let test_broken_pass_caught () =
 
 (* The linear normal form promises value-exactness (it only decomposes
    +, − and multiplication by a constant) and round-trip idempotence.
-   Pin both over random expressions: div/mod keep the non-negative
-   operand contract (variable numerator, constant positive divisor),
-   everything else ranges freely. *)
-let linear_expr_gen =
-  let open QCheck.Gen in
-  let vars = [ "a"; "b"; "c" ] in
-  let leaf =
-    oneof [ map Ir.int_ (int_range (-8) 8); map Ir.var (oneofl vars) ]
-  in
-  sized_size (int_bound 10)
-  @@ fix (fun self n ->
-         if n <= 0 then leaf
-         else
-           let sub = self (n / 2) in
-           frequency
-             [
-               (2, leaf);
-               (3, map2 (fun x y -> Ir.Iadd (x, y)) sub sub);
-               (3, map2 (fun x y -> Ir.Isub (x, y)) sub sub);
-               (2, map2 (fun k x -> Ir.Imul (Ir.int_ k, x)) (int_range (-4) 4) sub);
-               (1, map2 (fun x y -> Ir.Imul (x, y)) sub sub);
-               (1, map2 (fun x y -> Ir.Imin (x, y)) sub sub);
-               (1, map2 (fun x y -> Ir.Imax (x, y)) sub sub);
-               ( 1,
-                 map2
-                   (fun v d -> Ir.Idiv (Ir.var v, Ir.int_ d))
-                   (oneofl vars) (int_range 1 5) );
-               ( 1,
-                 map2
-                   (fun v d -> Ir.Imod (Ir.var v, Ir.int_ d))
-                   (oneofl vars) (int_range 1 5) );
-             ])
-
-let linear_case_gen =
-  QCheck.Gen.(
-    map2
-      (fun e (va, vb, vc) -> (e, [ ("a", va); ("b", vb); ("c", vc) ]))
-      linear_expr_gen
-      (triple (int_bound 9) (int_bound 9) (int_bound 9)))
-
-(* Reference evaluator matching Ir_eval's integer semantics (floor
-   division; operands are kept non-negative by the generator). *)
-let rec eval_iexpr env = function
-  | Ir.Iconst k -> k
-  | Ir.Ivar v -> List.assoc v env
-  | Ir.Iadd (x, y) -> eval_iexpr env x + eval_iexpr env y
-  | Ir.Isub (x, y) -> eval_iexpr env x - eval_iexpr env y
-  | Ir.Imul (x, y) -> eval_iexpr env x * eval_iexpr env y
-  | Ir.Idiv (x, y) -> eval_iexpr env x / eval_iexpr env y
-  | Ir.Imod (x, y) -> eval_iexpr env x mod eval_iexpr env y
-  | Ir.Imin (x, y) -> min (eval_iexpr env x) (eval_iexpr env y)
-  | Ir.Imax (x, y) -> max (eval_iexpr env x) (eval_iexpr env y)
-
-let linear_print (e, env) =
-  Printf.sprintf "%s with %s"
-    (Ir_printer.iexpr_to_string e)
-    (String.concat ", " (List.map (fun (v, x) -> Printf.sprintf "%s=%d" v x) env))
+   Pin both over random expressions (see Test_util.linear_case_gen). *)
+let linear_case =
+  QCheck.make ~print:Test_util.linear_print
+    (Test_util.linear_case_gen ~vars:[ "a"; "b"; "c" ] ~coeff:4)
 
 let prop_linear_roundtrip_exact =
   QCheck.Test.make ~count:500 ~name:"Ir_linear round-trip is value-exact"
-    (QCheck.make ~print:linear_print linear_case_gen)
+    linear_case
     (fun (e, env) ->
-      eval_iexpr env (Ir_linear.to_iexpr (Ir_linear.of_iexpr e))
-      = eval_iexpr env e)
+      Test_util.eval_iexpr env (Ir_linear.to_iexpr (Ir_linear.of_iexpr e))
+      = Test_util.eval_iexpr env e)
 
 let prop_linear_idempotent =
   QCheck.Test.make ~count:500 ~name:"Ir_linear normalization is idempotent"
-    (QCheck.make ~print:linear_print linear_case_gen)
+    linear_case
     (fun (e, _) ->
       let nf = Ir_linear.of_iexpr e in
       Ir_linear.equal nf (Ir_linear.of_iexpr (Ir_linear.to_iexpr nf)))

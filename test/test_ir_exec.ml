@@ -297,20 +297,82 @@ let gen_program =
         ];
     ]
 
+(* Storage plans: everything f32, or src, src2 and dst all packed, each
+   at int8 or f16 (all at one precision or mixed). [dst] is packed in
+   every packed plan, so its loops run decoded in both paths with the
+   same float operations in the same order. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let packed = oneofl [ Precision.Any Precision.I8; Precision.Any Precision.F16 ] in
+  oneof
+    [
+      return [];
+      map (fun k -> [ ("src", k); ("src2", k); ("dst", k) ]) packed;
+      map3 (fun a b c -> [ ("src", a); ("src2", b); ("dst", c) ]) packed packed packed;
+    ]
+
+let print_case (plan, stmts) =
+  Printf.sprintf "storage [%s]\n%s"
+    (String.concat ", "
+       (List.map (fun (b, k) -> b ^ ":" ^ Precision.any_name k) plan))
+    (Ir_printer.stmts_to_string stmts)
+
+(* All-f32 cases keep a tolerance: the dot kernel accumulates in a
+   double. Packed cases must match bit for bit. *)
 let prop_compiled_matches_interpreted =
-  QCheck.Test.make ~count:150 ~name:"compiled = interpreted on random nests"
-    (QCheck.make gen_program)
-    (fun stmts ->
+  QCheck.Test.make ~count:300 ~name:"compiled = interpreted on random nests"
+    (QCheck.make ~print:print_case (QCheck.Gen.pair gen_plan gen_program))
+    (fun (plan, stmts) ->
       let env1 = make_env 99 in
       let env2 = clone_env env1 in
-      Ir_eval.run ~lookup:(Buffer_pool.lookup env1) stmts;
-      let compiled = Ir_compile.compile ~lookup:(Buffer_pool.lookup env2) stmts in
+      List.iter
+        (fun (b, kind) ->
+          List.iter
+            (fun env ->
+              Buffer_pool.repack env b ~kind
+                ~qparams:(Precision.qparams_of_absmax 2.0))
+            [ env1; env2 ])
+        plan;
+      Ir_eval.run ~lookup:(Buffer_pool.lookup env1)
+        ~store_of:(Buffer_pool.store env1) stmts;
+      let compiled =
+        Ir_compile.compile ~lookup:(Buffer_pool.lookup env2)
+          ~store_of:(Buffer_pool.store env2) stmts
+      in
       Ir_compile.run compiled ();
+      let bits x = Int64.bits_of_float x in
       List.for_all
         (fun b ->
-          Tensor.max_abs_diff (Buffer_pool.lookup env1 b) (Buffer_pool.lookup env2 b)
-          < 1e-4)
+          let x = Buffer_pool.read_f32 env1 b and y = Buffer_pool.read_f32 env2 b in
+          if plan = [] then Tensor.max_abs_diff x y < 1e-4
+          else
+            Array.for_all2
+              (fun u w -> Int64.equal (bits u) (bits w))
+              (Tensor.to_array x) (Tensor.to_array y))
         [ "dst"; "acc" ])
+
+(* Integer expressions compile from their linear normal form. Five
+   variables make sums of more than three variable terms common, so
+   the general branch runs too. The f32 store rounds large values, so
+   the reference is rounded through float32 the same way. *)
+let prop_compiled_index_matches_reference =
+  let vars = [ "a"; "b"; "c"; "d"; "e" ] in
+  QCheck.Test.make ~count:1000 ~name:"compiled index = reference evaluator"
+    (QCheck.make ~print:Test_util.linear_print
+       (Test_util.linear_case_gen ~vars ~coeff:40))
+    (fun (e, env) ->
+      let pool = Buffer_pool.create () in
+      let acc = Buffer_pool.alloc pool "acc" (Shape.create [ 1 ]) in
+      let c =
+        Ir_compile.compile ~lookup:(Buffer_pool.lookup pool) ~free_vars:vars
+          [ store "acc" [ i 0 ] (Float_of_int e) ]
+      in
+      Ir_compile.run c ~bindings:env ();
+      let expected =
+        Int32.float_of_bits
+          (Int32.bits_of_float (float_of_int (Test_util.eval_iexpr env e)))
+      in
+      Float.equal (Tensor.get1 acc 0) expected)
 
 let test_free_vars () =
   let stmts = [ store "acc" [ v "n" ] (f 7.0) ] in
@@ -337,4 +399,5 @@ let suite =
     Alcotest.test_case "float_of_int" `Quick test_float_of_int;
     Alcotest.test_case "free vars" `Quick test_free_vars;
     QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
+    QCheck_alcotest.to_alcotest prop_compiled_index_matches_reference;
   ]

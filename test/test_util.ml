@@ -91,3 +91,67 @@ let data_gradient_check ?(samples = 6) ?(eps = 1e-3) exec =
     k := !k + stride
   done;
   !max_rel
+
+(* Random integer expressions over [vars] for the index properties:
+   constants, variables, sums, differences, products by a constant in
+   [±coeff], variable products, min/max, and div/mod of a variable by a
+   constant in [1, 5]. Div/mod keep the non-negative operand contract
+   when the variables are bound to non-negative values, as
+   [linear_case_gen] binds them. *)
+let linear_expr_gen ~vars ~coeff =
+  let open QCheck.Gen in
+  let leaf =
+    oneof [ map Ir.int_ (int_range (-8) 8); map Ir.var (oneofl vars) ]
+  in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (2, leaf);
+               (3, map2 (fun x y -> Ir.Iadd (x, y)) sub sub);
+               (3, map2 (fun x y -> Ir.Isub (x, y)) sub sub);
+               ( 2,
+                 map2
+                   (fun k x -> Ir.Imul (Ir.int_ k, x))
+                   (int_range (-coeff) coeff) sub );
+               (1, map2 (fun x y -> Ir.Imul (x, y)) sub sub);
+               (1, map2 (fun x y -> Ir.Imin (x, y)) sub sub);
+               (1, map2 (fun x y -> Ir.Imax (x, y)) sub sub);
+               ( 1,
+                 map2
+                   (fun v d -> Ir.Idiv (Ir.var v, Ir.int_ d))
+                   (oneofl vars) (int_range 1 5) );
+               ( 1,
+                 map2
+                   (fun v d -> Ir.Imod (Ir.var v, Ir.int_ d))
+                   (oneofl vars) (int_range 1 5) );
+             ])
+
+(* An expression with each variable bound to a value in [0, 9]. *)
+let linear_case_gen ~vars ~coeff =
+  QCheck.Gen.(
+    map2
+      (fun e vals -> (e, List.combine vars vals))
+      (linear_expr_gen ~vars ~coeff)
+      (list_repeat (List.length vars) (int_bound 9)))
+
+(* Reference evaluator matching Ir_eval's integer semantics (floor
+   division; operands are kept non-negative by the generator). *)
+let rec eval_iexpr env = function
+  | Ir.Iconst k -> k
+  | Ir.Ivar v -> List.assoc v env
+  | Ir.Iadd (x, y) -> eval_iexpr env x + eval_iexpr env y
+  | Ir.Isub (x, y) -> eval_iexpr env x - eval_iexpr env y
+  | Ir.Imul (x, y) -> eval_iexpr env x * eval_iexpr env y
+  | Ir.Idiv (x, y) -> eval_iexpr env x / eval_iexpr env y
+  | Ir.Imod (x, y) -> eval_iexpr env x mod eval_iexpr env y
+  | Ir.Imin (x, y) -> min (eval_iexpr env x) (eval_iexpr env y)
+  | Ir.Imax (x, y) -> max (eval_iexpr env x) (eval_iexpr env y)
+
+let linear_print (e, env) =
+  Printf.sprintf "%s with %s"
+    (Ir_printer.iexpr_to_string e)
+    (String.concat ", " (List.map (fun (v, x) -> Printf.sprintf "%s=%d" v x) env))

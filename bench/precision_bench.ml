@@ -90,7 +90,9 @@ type row = {
   maxd : float;
 }
 
-let time_fwd exec = Executor.time_forward ~warmup:1 ~iters:2 exec
+(* The median of nine forwards: on a shared host, the slower of two
+   moved a preset's time by up to half between runs of one build. *)
+let time_fwd exec = Executor.time_forward ~warmup:1 ~iters:9 exec
 
 let run_model name build =
   let rows = ref [] in

@@ -62,8 +62,13 @@ val f16_encode : float -> int
 (** Round-to-nearest-even binary16 bits (0..0xffff); overflow saturates
     to infinity, NaN maps to a quiet NaN pattern. *)
 
+val f16_table : unit -> float array
+(** The decode table: entry [b] is the value of bit pattern [b]
+    (0..0xffff). Built on first use; safe to call from several domains
+    at once. *)
+
 val f16_decode : int -> float
-(** Table-driven decode (lazy 65536-entry table). *)
+(** Table-driven decode ([(f16_table ()).(bits land 0xffff)]). *)
 
 val f16_of_float : float -> int
 val float_of_f16 : int -> float

@@ -298,7 +298,8 @@ let store_reader (Store (k, qp, g)) : int -> float =
   | Precision.F64 -> fun i -> Bigarray.Array1.unsafe_get data i
   | Precision.F32 -> fun i -> Bigarray.Array1.unsafe_get data i
   | Precision.F16 ->
-      fun i -> Precision.f16_decode (Bigarray.Array1.unsafe_get data i)
+      let table = Precision.f16_table () in
+      fun i -> Array.unsafe_get table (Bigarray.Array1.unsafe_get data i)
   | Precision.I8 ->
       let s = qp.Precision.scale and z = qp.Precision.zero_point in
       fun i -> s *. float_of_int (Bigarray.Array1.unsafe_get data i - z)

@@ -2,11 +2,17 @@
 
     This stands in for the paper's ParallelAccelerator.jl → ICC pipeline.
     Loops compile to closures over a register file of loop variables;
-    innermost loops whose accesses are affine in the loop variable are
-    recognized and emitted as specialized tight kernels (contiguous
+    every integer expression (index, loop bound, GEMM offset) compiles
+    from its {!Ir_linear} normal form, one closure summing
+    [k + Σ c·register], with only the non-affine atoms compiled node by
+    node. Innermost loops whose accesses are affine in the loop variable
+    are recognized and emitted as specialized tight kernels (contiguous
     copy, strided copy, saxpy/FMA, dot-product reduction, ReLU map,
     max-accumulate, ...), which is the moral equivalent of the
-    vectorization pragmas Latte attaches for the C++ compiler.
+    vectorization pragmas Latte attaches for the C++ compiler. Packed
+    (int8/f16) innermost loops run in the same strided compiler, loading
+    through the store's reader and storing through its writer; only
+    unproven or non-strided loops take the per-node closure path.
 
     Semantics are validated against {!Ir_eval} by the test suite. *)
 
@@ -40,7 +46,9 @@ type token
     ({!run}) and at every iteration of outermost loops — including each
     worker's stride loop inside a parallel dispatch — so a cancel takes
     effect within one outer-loop iteration, at the cost of one load and
-    compare per outer iteration (inner loops run unchecked). *)
+    compare per outer iteration (inner loops run unchecked). An
+    outermost loop that is itself an innermost loop compiled by the
+    strided compiler, at any precision, is checked only at entry. *)
 
 exception Cancelled of string
 (** Raised out of compiled code (and by {!check_token}) once the token
@@ -103,11 +111,14 @@ val compile :
     [Guard_unproven].
 
     [store_of] resolves buffers precision-aware (it defaults to wrapping
-    [lookup] as f32). Accesses to f32 buffers compile exactly as before;
-    loops over packed buffers (int8/f16) compile to decode-on-load /
-    encode-on-store closures, and GEMMs over them dispatch to the
-    specialized {!Qblas} kernels. [lookup] is still used to hand Externs
-    their f32 view, so extern-touched buffers must stay f32.
+    [lookup] as f32). A packed (int8/f16) operand decodes on load
+    through the store's reader and encodes on store through its writer.
+    Proven strided innermost loops over packed buffers run in the same
+    strided compiler as f32 loops, which keeps its specialized kernels
+    for raw-f32 operands; unproven or non-strided loops take the
+    closure path. GEMMs over packed buffers dispatch to the {!Qblas}
+    kernels. [lookup] is still used to hand Externs their f32 view, so
+    extern-touched buffers must stay f32.
 
     With [runner] (and [runner.workers > 1]), outermost
     [parallel]-annotated loops execute chunked across the runner's
@@ -125,9 +136,16 @@ val run : compiled -> ?bindings:(string * int) list -> unit -> unit
     iteration. *)
 
 val kernel_stats : compiled -> (string * int) list
-(** How many innermost loops were emitted as each specialized kernel
-    kind (including ["generic"]); used by tests to pin down that the
-    recognizer fired. *)
+(** Code-generation counters. Each innermost loop the strided compiler
+    emits counts under its kernel kind: a specialized f32 kernel,
+    ["generic"] for an f32 destination no kernel matched, or
+    ["decoded"] for a packed destination (written through the store's
+    writer). Loops on the closure path are not counted. The other
+    counters are accesses (["guarded"]) and GEMMs (["guarded_gemm"])
+    given a runtime check, packed GEMMs by {!Qblas} kernel name, and
+    parallel-loop decisions (["par_loop"], ["par_replay"],
+    ["par_private"], ["par_fallback"]). Used by tests to pin down that
+    the recognizer fired. *)
 
 val schedule : compiled -> par_entry list
 (** The parallel-loop scheduling decisions made during compilation, in

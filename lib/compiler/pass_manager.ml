@@ -174,8 +174,15 @@ let assemble st =
   }
 
 let simplify st =
+  let shape_of buf =
+    Option.map (fun (s : Shape.t) -> (s :> int array)) (Pass.shape_of st buf)
+  in
+  let tidy stmts =
+    Ir_order.sink_unit_stride ~batch_var:Synthesis.batch_var ~shape_of
+      (Ir.simplify_stmts stmts)
+  in
   Pass.map_sections
-    (fun (s : Program.section) -> { s with Program.stmts = Ir.simplify_stmts s.Program.stmts })
+    (fun (s : Program.section) -> { s with Program.stmts = tidy s.Program.stmts })
     st
 
 let parallelize st =
@@ -374,7 +381,8 @@ let registry : Pass.info list =
       name = "simplify";
       paper = "—";
       description =
-        "post-assembly cleanup: constant folding, dead/empty loop removal";
+        "post-assembly cleanup: constant folding, dead/empty loop removal, \
+         unit-stride loop innermost in each perfect loop band";
       required = false;
       default_on = (fun _ -> true);
       run = simplify;

@@ -287,24 +287,30 @@ let rec map_stmt f s =
 
 and map_stmts f ss = List.map (map_stmt f) ss
 
+let rec loads_into acc e =
+  match e with
+  | Fconst _ | Float_of_int _ -> acc
+  | Load (b, idx) -> (b, idx) :: acc
+  | Funop (_, a) -> loads_into acc a
+  | Fbinop (_, a, b) -> loads_into (loads_into acc a) b
+  | Select (c, a, b) -> loads_into (loads_into (cond_loads_into acc c) a) b
+
+and cond_loads_into acc c =
+  match c with
+  | Icmp _ -> acc
+  | Fcmp (_, a, b) -> loads_into (loads_into acc a) b
+  | Cand (a, b) | Cor (a, b) -> cond_loads_into (cond_loads_into acc a) b
+  | Cnot a -> cond_loads_into acc a
+
+let loads e = loads_into [] e
+let cond_loads c = cond_loads_into [] c
+
 let collect_buffers ~want_writes ss =
   let acc = Hashtbl.create 16 in
   let add b = Hashtbl.replace acc b () in
-  let rec go_f e =
-    match e with
-    | Fconst _ -> ()
-    | Load (b, _) -> if not want_writes then add b
-    | Float_of_int _ -> ()
-    | Funop (_, a) -> go_f a
-    | Fbinop (_, a, b) -> go_f a; go_f b
-    | Select (c, a, b) -> go_c c; go_f a; go_f b
-  and go_c c =
-    match c with
-    | Icmp _ -> ()
-    | Fcmp (_, a, b) -> go_f a; go_f b
-    | Cand (a, b) | Cor (a, b) -> go_c a; go_c b
-    | Cnot a -> go_c a
-  and go_s s =
+  let go_f e = if not want_writes then List.iter (fun (b, _) -> add b) (loads e) in
+  let go_c c = if not want_writes then List.iter (fun (b, _) -> add b) (cond_loads c) in
+  let rec go_s s =
     match s with
     | Store { buf; value; _ } ->
         if want_writes then add buf;

@@ -172,6 +172,13 @@ val subst_stmt : string -> iexpr -> stmt -> stmt
 val map_stmts : (stmt -> stmt) -> stmt list -> stmt list
 (** Bottom-up statement transformation. *)
 
+val loads : fexpr -> (string * iexpr list) list
+(** Every [Load] in the expression, conditions included, as
+    [(buffer, index)], the last one visited first. *)
+
+val cond_loads : cond -> (string * iexpr list) list
+(** {!loads} of the expressions a condition compares. *)
+
 val buffers_read : stmt list -> string list
 (** Sorted, deduplicated names of buffers read anywhere in the program. *)
 

@@ -727,21 +727,6 @@ let rec par_ivars acc e =
   | Imin (a, b) | Imax (a, b) ->
       par_ivars (par_ivars acc a) b
 
-let rec par_loads acc e =
-  match e with
-  | Fconst _ | Float_of_int _ -> acc
-  | Load (b, idx) -> (b, idx) :: acc
-  | Funop (_, a) -> par_loads acc a
-  | Fbinop (_, a, b) -> par_loads (par_loads acc a) b
-  | Select (c, a, b) -> par_loads (par_loads (par_loads_cond acc c) a) b
-
-and par_loads_cond acc c =
-  match c with
-  | Icmp _ -> acc
-  | Fcmp (_, a, b) -> par_loads (par_loads acc a) b
-  | Cand (a, b) | Cor (a, b) -> par_loads_cond (par_loads_cond acc a) b
-  | Cnot a -> par_loads_cond acc a
-
 (* Same evidence the verifier accepts that [e] differs across iterations
    of the loop over [v]: a nonzero affine stride in [v], or a mention of
    an inner variable whose bounds depend on [v] (tiling encodes
@@ -829,12 +814,12 @@ let partition_parallel ctx benv (l : loop) =
   let record_value_loads set ~dep value =
     List.iter
       (fun (b, idx) -> record set b (List.exists (par_varies ~v ~dep) idx))
-      (par_loads [] value)
+      (loads value)
   in
   let record_cond_loads set ~dep c =
     List.iter
       (fun (b, idx) -> record set b (List.exists (par_varies ~v ~dep) idx))
-      (par_loads_cond [] c)
+      (cond_loads c)
   in
   let rec split dep stmts =
     let parts = List.map (split1 dep) stmts in

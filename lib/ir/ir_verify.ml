@@ -33,22 +33,6 @@ and cvars acc c =
   | Cand (a, b) | Cor (a, b) -> cvars (cvars acc a) b
   | Cnot a -> cvars acc a
 
-(* All (buffer, index) loads appearing in an expression. *)
-let rec loads acc e =
-  match e with
-  | Fconst _ | Float_of_int _ -> acc
-  | Load (b, idx) -> (b, idx) :: acc
-  | Funop (_, a) -> loads acc a
-  | Fbinop (_, a, b) -> loads (loads acc a) b
-  | Select (c, a, b) -> loads (loads (loads_cond acc c) a) b
-
-and loads_cond acc c =
-  match c with
-  | Icmp _ -> acc
-  | Fcmp (_, a, b) -> loads (loads acc a) b
-  | Cand (a, b) | Cor (a, b) -> loads_cond (loads_cond acc a) b
-  | Cnot a -> loads_cond acc a
-
 let stmt_head s =
   let text = String.trim (Ir_printer.stmt_to_string s) in
   let line =
@@ -85,7 +69,7 @@ let verify_stmts ?(bound = []) ~shape_of ~region stmts =
                 buf (List.length idx) (Shape.rank shape) (Shape.to_string shape))
   in
   let check_loads ~stmt value =
-    List.iter (fun (b, idx) -> check_buf ~stmt ~idx b) (loads [] value)
+    List.iter (fun (b, idx) -> check_buf ~stmt ~idx b) (loads value)
   in
   let check_gemm_tile ~stmt (g : gemm) =
     match g.gemm_tile with

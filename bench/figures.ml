@@ -140,7 +140,8 @@ let fig15 () =
   fill (Executor.lookup exec);
   let caffe = Caffe_like.of_net ~params_from:exec spec.Models.net in
   fill (Caffe_like.lookup caffe);
-  (* Median-of-3 per-section forward+backward times, grouped. *)
+  (* Each section's median over 7 timed forward+backward passes after
+     one warm-up, summed per group. *)
   let sum_by assoc names =
     List.fold_left
       (fun acc (label, t) ->
@@ -149,15 +150,19 @@ let fig15 () =
         else acc)
       0.0 assoc
   in
-  let latte_times () =
-    let f = Executor.forward_timed exec and b = Executor.backward_timed exec in
-    (* Label sections by their component ensembles. *)
-    List.map (fun ((s : string), t) -> (s, t)) (f @ b)
-  in
+  let latte_times () = Executor.forward_timed exec @ Executor.backward_timed exec in
   let caffe_times () = Caffe_like.forward_timed caffe @ Caffe_like.backward_timed caffe in
-  ignore (latte_times ());
-  ignore (caffe_times ());
-  let lt = latte_times () and ct = caffe_times () in
+  let median_times times =
+    ignore (times ());
+    let runs = List.init 7 (fun _ -> times ()) in
+    List.mapi
+      (fun i (label, _) ->
+        let ts = Array.of_list (List.map (fun run -> snd (List.nth run i)) runs) in
+        Array.sort Float.compare ts;
+        (label, ts.(Array.length ts / 2)))
+      (List.hd runs)
+  in
+  let lt = median_times latte_times and ct = median_times caffe_times in
   Printf.printf "  %-38s %10s\n" "" "speedup";
   List.iter
     (fun (group, members) ->

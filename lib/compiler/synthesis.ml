@@ -425,11 +425,14 @@ let copy_task_guarded ectx ci ~backward =
       [ mk_loop (dim_var ens d) (Iconst 0) (Iconst ectx.e.Ensemble.shape.(d)) body ])
     with_windows (List.rev ci.kept)
 
-(* Fast layout: window loops outermost, window-driven sink dims
-   innermost with loop bounds *clamped* so every iteration is in
-   bounds — no per-element guards, long unit-pattern inner loops. The
-   forward input buffer is pre-zeroed once per pass when padding makes
-   some entries unreachable. *)
+(* Fast layout: window loops outermost, window-driven sink dims inside
+   them with loop bounds *clamped* so every iteration is in bounds — no
+   per-element guards. Which loop finally runs innermost is decided
+   after assembly by the stride-aware permutation step (Ir_order, run
+   from the simplify pass), which sinks a long unit-stride channel
+   loop below short clamped ones. The forward input buffer is
+   pre-zeroed once per pass when padding makes some entries
+   unreachable. *)
 let copy_task_clamped ectx ci ~backward =
   let ens = ens_of ectx in
   let g = ci.index in
@@ -446,7 +449,7 @@ let copy_task_clamped ectx ci ~backward =
   let flat = flat_window ci ~coords in
   let stmt = copy_stmt ectx ci ~backward ~coords ~flat in
   let sink_shape = ectx.e.Ensemble.shape in
-  (* Innermost: window-driven sink dims, bounds clamped against the
+  (* Inside: window-driven sink dims, bounds clamped against the
      source extent as a function of the window coordinate. *)
   let windowed_pairs =
     List.filter_map

@@ -23,6 +23,11 @@ let all =
   ]
 
 let () =
+  (* Pipeline.compile_pair reads the tuning cache, and the fleet and
+     serve benches reach it through Registry: turn it off so their rows
+     do not depend on what `latte tune' last cached. The tuned bench
+     passes its own cache directory. *)
+  Unix.putenv "LATTE_TUNE_CACHE" "off";
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
   | [] ->

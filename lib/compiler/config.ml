@@ -82,12 +82,9 @@ let with_flags ?pattern_match ?tiling ?fusion ?parallelize ?tile_size ?batch_gem
 let normalize t =
   let warnings = ref [] in
   let warn w = warnings := w :: !warnings in
-  (* The schedule's domains/precision entries fold into the matching
-     scalar fields (silently — they are the same decision spelled at a
-     finer grain, not a conflict), its tile entries are sanity-checked,
-     and tile targets under disabled tiling get a warning mirroring the
-     fusion-without-tiling repair. Idempotent: a second normalize sees
-     fields already equal to the schedule's values. *)
+  (* The schedule's tile entries are sanity-checked, and tile targets
+     under disabled tiling get a warning mirroring the
+     fusion-without-tiling repair. *)
   let t =
     match t.schedule with
     | None -> t
@@ -98,12 +95,7 @@ let normalize t =
           warn
             "config: schedule tile targets are ignored while tiling is \
              disabled (pass `tile')";
-        {
-          t with
-          schedule = Some s;
-          num_domains = Option.value ~default:t.num_domains s.Schedule.domains;
-          precision = Option.value ~default:t.precision s.Schedule.precision;
-        }
+        { t with schedule = Some s }
   in
   let t =
     if t.fusion && not t.tiling then begin

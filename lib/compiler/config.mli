@@ -24,9 +24,11 @@ type t = {
           path. *)
   num_domains : int;
       (** Worker domains for parallel-annotated loops (§5.4.3, the CLI's
-          [--domains]). [default] reads [LATTE_DOMAINS] (missing or
-          malformed means 1); [unoptimized] is always 1. Outputs are
-          bit-identical at any count. *)
+          [--domains]): the count [Pipeline.compile_pair] prepares at
+          when neither a schedule nor the caller's run options give
+          one. [default] reads [LATTE_DOMAINS] (missing or malformed
+          means 1); [unoptimized] is always 1. Outputs are bit-identical
+          at any count. *)
   precision : Precision.preset;
       (** Execution precision (the CLI's [--precision]): [`F32] is the
           classic pipeline; [`F16] packs activations to half storage
@@ -36,12 +38,11 @@ type t = {
           [unoptimized] is always [`F32]. *)
   schedule : Schedule.t option;
       (** Per-section schedule override ([latte tune]'s output). When
-          set, the tile/fuse/parallelize passes consult it first and the
-          scalar knobs above become fallbacks: [tile_size] applies only
-          to groups the schedule does not name, and {!normalize} folds
-          the schedule's [domains]/[precision] entries into
-          [num_domains]/[precision]. [None] (both presets) means the
-          static heuristics decide everything. *)
+          set, the tile and fuse passes consult it first and the scalar
+          knobs above become fallbacks: [tile_size] applies only to
+          groups the schedule does not name. Its [domains] entry is read
+          by [Pipeline.compile_pair] alone. [None] (both presets) means
+          the static heuristics decide everything. *)
 }
 
 val default : t
@@ -80,12 +81,10 @@ val normalize : t -> t * string list
     is dropped (fusion schedules tiles), [batch_gemm] without
     [pattern_match] is dropped (there are no GEMV calls to stack), and
     [num_domains < 1] is clamped to 1. A [schedule] is sanitized
-    ({!Schedule.sanitize}: tile targets < 1 dropped with a warning),
-    warned about when its tile entries are dead under disabled tiling,
-    and its [domains]/[precision] entries folded into the scalar fields
-    (silently — same decision, finer grain; tile targets that divide no
-    section are diagnosed later by the tile pass, which knows the
-    extents). *)
+    ({!Schedule.sanitize}: tile targets < 1 dropped with a warning) and
+    warned about when its tile entries are dead under disabled tiling
+    (tile targets that divide no section are diagnosed later by the
+    tile pass, which knows the extents). *)
 
 val describe : t -> string
 (** The flag summary (["gemm+tiling+..."]); appends

@@ -19,9 +19,6 @@ type state = {
   par_annotated : (string * string list) list;
       (* Set by the parallelize pass: region name -> loop variables it
          annotated for parallel execution, in program order. *)
-  par_verdicts : (string * Ir_deps.loop_report list) list;
-      (* Set by the parallelize pass: region name -> per-parallel-loop
-         dependence verdicts from Ir_deps, in program order. *)
   tile_groups : (string * int * int) list;
       (* Set by the tile pass: (group label, anchor extent, tile rows)
          for every group it planned a tile for, forward then backward —
@@ -50,7 +47,6 @@ let initial ?seed config net =
     fwd_sections = None;
     bwd_sections = None;
     par_annotated = [];
-    par_verdicts = [];
     tile_groups = [];
   }
 

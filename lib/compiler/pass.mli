@@ -30,10 +30,6 @@ type state = {
       (** Set by the parallelize pass: region name → loop variables it
           annotated for parallel execution, in program order. The CLI's
           [dump-ir]/[analyze] report this schedule. *)
-  par_verdicts : (string * Ir_deps.loop_report list) list;
-      (** Set by the parallelize pass: region name → {!Ir_deps}
-          dependence verdicts for every parallel loop, in program
-          order. Surfaced through {!Pass_manager.report}. *)
   tile_groups : (string * int * int) list;
       (** Set by the tile pass: (group label, anchor y extent, chosen
           tile rows) per tiled group, forward then backward — the

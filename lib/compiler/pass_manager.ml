@@ -250,22 +250,11 @@ let parallelize st =
     in
     List.map (go Ir_bounds.empty_env) stmts
   in
-  (* Schedule consult: when the schedule pins execution to a single
-     domain, the dependence-driven sweep buys nothing at runtime (the
-     executor partitions nothing) — skip it and keep only the free
-     syntactic annotation. Outputs are bit-identical either way. *)
-  let single_domain =
-    match st.config.Config.schedule with
-    | Some s -> s.Schedule.domains = Some 1
-    | None -> false
-  in
   let st =
-    if single_domain then st
-    else
-      Pass.map_sections
-        (fun (s : Program.section) ->
-          { s with Program.stmts = deps_annotate s.Program.stmts })
-        st
+    Pass.map_sections
+      (fun (s : Program.section) ->
+        { s with Program.stmts = deps_annotate s.Program.stmts })
+      st
   in
   (* Record what was scheduled so dump-ir/analyze can report it. *)
   let parallel_vars stmts =
@@ -293,15 +282,7 @@ let parallelize st =
         | vars -> Some (region, vars))
       (Pass.regions st)
   in
-  let par_verdicts =
-    List.filter_map
-      (fun (region, _, stmts) ->
-        match Ir_deps.analyze_stmts ~shape_of stmts with
-        | [] -> None
-        | reports -> Some (region, reports))
-      (Pass.regions st)
-  in
-  { st with Pass.par_annotated; Pass.par_verdicts }
+  { st with Pass.par_annotated }
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -490,8 +471,8 @@ type outcome = {
   bounds : Ir_bounds.report option;
       (** Bounds/safety analysis after the pass, under [~verify:true]. *)
   sched_source : string option;
-      (** For the schedule-consulting passes (fuse/tile/parallelize)
-          when enabled: which schedule source drove the decisions —
+      (** For the schedule-consulting passes (fuse/tile) when enabled:
+          which schedule source drove the decisions —
           "static" | "cache" | "explicit". *)
 }
 
@@ -501,7 +482,6 @@ type report = {
   verified : bool;
   total_seconds : float;
   parallel_annotated : (string * string list) list;
-  parallel_verdicts : (string * Ir_deps.loop_report list) list;
   schedule_source : string;
       (** "static" (no schedule), "cache" or "explicit". *)
   tile_groups : (string * int * int) list;
@@ -536,9 +516,7 @@ let run ?seed ?passes ?(verify = false) ?(dump_after = []) config net =
     | Some s when Schedule.is_empty s -> "static"
     | Some s -> Schedule.source_name s
   in
-  let consults_schedule name =
-    List.mem name [ "fuse"; "tile"; "parallelize" ]
-  in
+  let consults_schedule name = List.mem name [ "fuse"; "tile" ] in
   let want_dump name = List.mem "all" dump_after || List.mem name dump_after in
   let t_start = Unix.gettimeofday () in
   let st, outcomes_rev =
@@ -598,7 +576,6 @@ let run ?seed ?passes ?(verify = false) ?(dump_after = []) config net =
       verified = verify;
       total_seconds = Unix.gettimeofday () -. t_start;
       parallel_annotated = st.Pass.par_annotated;
-      parallel_verdicts = st.Pass.par_verdicts;
       schedule_source = sched_src;
       tile_groups = st.Pass.tile_groups;
     } )

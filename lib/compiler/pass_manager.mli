@@ -36,10 +36,10 @@ type outcome = {
       (** {!Ir_bounds} analysis after the pass, populated under
           [~verify:true] once the synthesize pass has run. *)
   sched_source : string option;
-      (** For the schedule-consulting passes (fuse/tile/parallelize)
-          when enabled: ["static"] (heuristics), ["cache"] (tuned
-          schedule from the tuning cache) or ["explicit"]
-          (caller-provided {!Schedule.t}). [None] for other passes. *)
+      (** For the schedule-consulting passes (fuse/tile) when enabled:
+          ["static"] (heuristics), ["cache"] (tuned schedule from the
+          tuning cache) or ["explicit"] (caller-provided
+          {!Schedule.t}). [None] for other passes. *)
 }
 
 type report = {
@@ -51,10 +51,6 @@ type report = {
       (** What the parallelize pass scheduled: region name → loop
           variables annotated for parallel execution. Empty when the
           pass did not run. *)
-  parallel_verdicts : (string * Ir_deps.loop_report list) list;
-      (** The {!Ir_deps} dependence verdicts behind the schedule:
-          region name → per-parallel-loop buffer classification.
-          Empty when the parallelize pass did not run. *)
   schedule_source : string;
       (** What drove the schedule-consulting passes: ["static"],
           ["cache"] or ["explicit"]. *)

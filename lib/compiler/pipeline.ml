@@ -9,52 +9,33 @@ let compile ?seed config net = fst (Pass_manager.run ?seed config net)
    parameter values under any two configs — which is what lets the
    reference program stand in for the optimized one at serving time.
 
-   The reference is compiled first because its fingerprint (config- and
-   schedule-invariant) keys the tuning-cache consult: when the caller
-   did not pin a schedule and the cache holds a tuned one for this
-   (network, machine, safety, precision), the fast program is compiled
-   under it — which is how Registry.compile and every serving fleet
-   pick up `latte tune' winners for free. *)
+   This is the one place a tuned schedule enters a compile. The
+   reference is compiled first because its fingerprint (config- and
+   schedule-invariant) keys the tuning-cache lookup. Each knob then
+   resolves by one precedence: the caller's explicit schedule, else the
+   cached one, else the scalar fallback — Config.tile_size and the
+   fusion heuristic inside the passes, and for domains the caller's run
+   options (Config.num_domains when none are passed). *)
 let compile_pair ?seed ?opts config build =
   let ref_prog = compile ?seed Config.unoptimized (build ()) in
-  let config =
+  let schedule =
     match config.Config.schedule with
-    | Some _ -> config (* an explicit schedule always wins *)
-    | None -> (
-        match Tune_cache.dir () with
-        | None -> config
-        | Some dir -> (
-            let key =
-              Tune_cache.key
-                ~fingerprint:(Program.fingerprint ref_prog)
-                ~machine:(Tune_cache.machine_id ())
-                ~safety:
-                  (if config.Config.bounds_checks then "guard" else "unsafe")
-                ~precision:(Precision.preset_to_string config.Config.precision)
-            in
-            match Tune_cache.lookup ~dir ~key with
-            | Some payload ->
-                let s = Schedule.of_payload payload in
-                if Schedule.is_empty s then config
-                else { config with Config.schedule = Some s }
-            | None -> config))
-  in
-  let fast_prog = compile ?seed config (build ()) in
-  let opts =
-    match opts with
-    | Some o -> o
+    | Some _ as s -> s
     | None ->
-        (* A cached schedule's domain count must reach the executor even
-           though normalization (which folds it into num_domains) only
-           happens inside the pass manager. *)
-        let domains =
-          match config.Config.schedule with
-          | Some s ->
-              Option.value ~default:config.Config.num_domains
-                s.Schedule.domains
-          | None -> config.Config.num_domains
-        in
-        Executor.Run_opts.with_domains domains Executor.Run_opts.default
+        Option.bind (Tune_cache.dir ()) (fun dir ->
+            Option.map Schedule.of_payload
+              (Tune_cache.lookup ~dir ~key:(Tuner.cache_key config ref_prog)))
+  in
+  let fast_prog = compile ?seed { config with Config.schedule } (build ()) in
+  let domains =
+    match (Option.bind schedule (fun s -> s.Schedule.domains), opts) with
+    | Some d, _ -> d
+    | None, Some o -> o.Executor.Run_opts.domains
+    | None, None -> config.Config.num_domains
+  in
+  let opts =
+    Executor.Run_opts.with_domains domains
+      (Option.value ~default:Executor.Run_opts.default opts)
   in
   (Executor.prepare ~opts fast_prog, Executor.prepare ~opts ref_prog)
 

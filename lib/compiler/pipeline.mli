@@ -26,21 +26,24 @@ val compile_pair :
 (** [compile_pair config build] is [(fast, reference)]: the network
     description compiled twice with the same seed, once under [config]
     and once under {!Config.unoptimized}, both prepared under [opts]
-    (default: {!Executor.Run_opts.default} with [domains] taken from
-    [config.num_domains]). Both executors hold identical parameter
+    (default {!Executor.Run_opts.default}) at the domain count resolved
+    below. Both executors hold identical parameter
     values (initialization draws happen in the required,
     config-independent synthesis pass), so the reference is a
     numerically trusted stand-in for the optimized one — the degradation
     target of the serving runtime. [build] must return a fresh,
     structurally identical net on each call.
 
-    Tuned-schedule pickup: when [config.schedule] is [None] and the
-    tuning cache ({!Tune_cache}) holds an entry for this exact
-    (network, machine, safety, precision), the fast program is compiled
-    under the cached schedule (report rows show source ["cache"]) and
-    its domain count reaches the default [opts]. An explicit
-    [config.schedule] always wins; [LATTE_TUNE_CACHE=off] disables the
-    consult. *)
+    This is the only reader of the tuning cache ({!Tune_cache}) outside
+    [Tuner.tune]. When [config.schedule] is [None] and the cache holds
+    an entry under [Tuner.cache_key] for this network, the fast program
+    is compiled under the cached schedule (report rows show source
+    ["cache"]). An explicit [config.schedule] always wins;
+    [LATTE_TUNE_CACHE=off] disables the lookup.
+
+    Domains resolve by the same precedence: the schedule's [domains]
+    (explicit, else cached) when it names one, even over [opts]; else
+    [opts.domains]; else [config.num_domains] when [opts] is absent. *)
 
 val dump : Program.t -> string
 (** Human-readable listing of every section's IR, followed by the

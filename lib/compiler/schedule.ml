@@ -15,15 +15,11 @@ type t = {
   tiles : (string * int) list;
   fuse_off : string list;
   domains : int option;
-  precision : Precision.preset option;
   source : source;
 }
 
-let empty =
-  { tiles = []; fuse_off = []; domains = None; precision = None; source = Explicit }
-
-let is_empty t =
-  t.tiles = [] && t.fuse_off = [] && t.domains = None && t.precision = None
+let empty = { tiles = []; fuse_off = []; domains = None; source = Explicit }
+let is_empty t = t.tiles = [] && t.fuse_off = [] && t.domains = None
 
 let with_tile label rows t =
   { t with tiles = (label, rows) :: List.remove_assoc label t.tiles }
@@ -33,7 +29,6 @@ let without_fusion label t =
   else { t with fuse_off = t.fuse_off @ [ label ] }
 
 let with_domains n t = { t with domains = Some n }
-let with_precision p t = { t with precision = Some p }
 let with_source source t = { t with source }
 
 let tile_for t label = List.assoc_opt label t.tiles
@@ -47,13 +42,10 @@ let describe t =
   let parts =
     List.map (fun (l, n) -> Printf.sprintf "tile(%s)=%d" l n) tiles
     @ List.map (fun l -> Printf.sprintf "nofuse(%s)" l) (List.sort compare t.fuse_off)
-    @ (match t.domains with
-      | None -> []
-      | Some d -> [ Printf.sprintf "domains=%d" d ])
     @
-    match t.precision with
+    match t.domains with
     | None -> []
-    | Some p -> [ "precision=" ^ Precision.preset_to_string p ]
+    | Some d -> [ Printf.sprintf "domains=%d" d ]
   in
   if parts = [] then "default" else String.concat " " parts
 
@@ -89,13 +81,10 @@ let sanitize t =
 let to_payload t =
   List.map (fun (l, n) -> ("tile." ^ l, string_of_int n)) t.tiles
   @ List.mapi (fun i l -> (Printf.sprintf "nofuse.%d" i, l)) t.fuse_off
-  @ (match t.domains with
-    | None -> []
-    | Some d -> [ ("domains", string_of_int d) ])
   @
-  match t.precision with
+  match t.domains with
   | None -> []
-  | Some p -> [ ("precision", Precision.preset_to_string p) ]
+  | Some d -> [ ("domains", string_of_int d) ]
 
 let of_payload kvs =
   let has_prefix p s =
@@ -113,10 +102,6 @@ let of_payload kvs =
         (match int_of_string_opt v with
         | Some d when d >= 1 -> with_domains d acc
         | _ -> acc)
-      else if k = "precision" then
-        (match Precision.preset_of_string v with
-        | Some p -> with_precision p acc
-        | None -> acc)
       else acc (* unknown names: forward-compatible skip *))
     { empty with source = Cache }
     kvs

@@ -2,16 +2,17 @@
 
     A schedule overrides the scalar scheduling knobs of {!Config.t} with
     per-section decisions: tile-row targets per fusion group, fusion
-    groups forced back apart, a worker-domain count and an execution
-    precision. Group labels are the "+"-joined ensemble names the fuse
-    pass gives its sections (e.g. ["conv1_1+relu1_1+pool1"]), so a
-    schedule reads directly against [latte dump-ir] output.
+    groups forced back apart and a worker-domain count. Group labels are
+    the "+"-joined ensemble names the fuse pass gives its sections (e.g.
+    ["conv1_1+relu1_1+pool1"]), so a schedule reads directly against
+    [latte dump-ir] output.
 
-    Precedence: when [Config.schedule] is set, the tile/fuse/parallelize
-    passes consult it first and fall back to the config's scalar knobs
-    ([tile_size], static heuristics) for anything it does not mention.
-    [Config.normalize] folds [domains]/[precision] into the matching
-    config fields.
+    Precedence, per knob: an explicit [Config.schedule], then the
+    tuning-cache entry [Pipeline.compile_pair] looks up, then the scalar
+    fallback. The tile and fuse passes read [tiles] and [fuse_off] and
+    fall back to [Config.tile_size] and the static fusion heuristic;
+    only [Pipeline.compile_pair] reads [domains], falling back to the
+    caller's run options.
 
     Schedules compare canonically: {!describe} sorts its parts,
     {!digest} and {!equal} derive from it, and {!of_payload} ∘
@@ -25,7 +26,6 @@ type t = {
   tiles : (string * int) list;  (** Group label → anchor tile-row target. *)
   fuse_off : string list;  (** Groups to split back into singleton units. *)
   domains : int option;
-  precision : Precision.preset option;
   source : source;
 }
 
@@ -43,7 +43,6 @@ val without_fusion : string -> t -> t
 (** Mark a fusion group to be split back into singleton units. *)
 
 val with_domains : int -> t -> t
-val with_precision : Precision.preset -> t -> t
 val with_source : source -> t -> t
 
 val tile_for : t -> string -> int option

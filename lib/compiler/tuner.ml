@@ -105,6 +105,13 @@ let spread k xs =
 
 let divisors n = List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))
 
+let cache_key config prog =
+  Tune_cache.key
+    ~fingerprint:(Program.fingerprint prog)
+    ~machine:(Tune_cache.machine_id ())
+    ~safety:(if config.Config.bounds_checks then "guard" else "unsafe")
+    ~precision:(Precision.preset_to_string config.Config.precision)
+
 let tune ?(budget = Medium) ?(seed = 1) ?max_domains ?(use_cache = true)
     ?cache_dir ?(force = false) ?(machine = Machine.xeon_e5_2699v3_1core)
     ?measure ?(log = fun _ -> ()) ~config ~build () =
@@ -162,16 +169,7 @@ let tune ?(budget = Medium) ?(seed = 1) ?max_domains ?(use_cache = true)
     if not use_cache then None
     else match cache_dir with Some d -> Some d | None -> Tune_cache.dir ()
   in
-  let key =
-    Option.map
-      (fun _ ->
-        Tune_cache.key
-          ~fingerprint:(Program.fingerprint default_prog)
-          ~machine:(Tune_cache.machine_id ())
-          ~safety:(if config.Config.bounds_checks then "guard" else "unsafe")
-          ~precision:(Precision.preset_to_string config.Config.precision))
-      cache_dir
-  in
+  let key = Option.map (fun _ -> cache_key config default_prog) cache_dir in
   let cached =
     match (cache_dir, key) with
     | Some dir, Some key when not force -> Tune_cache.lookup ~dir ~key

@@ -13,9 +13,8 @@
     schedule only moves work around, it never changes what is computed.
     Candidates whose outputs differ are rejected and reported.
 
-    The winner persists to {!Tune_cache} (unless caching is off), keyed
-    by (network fingerprint, machine, safety mode, precision), where
-    {!Pipeline.compile_pair} and {!Executor.prepare} pick it up
+    The winner persists to {!Tune_cache} (unless caching is off) under
+    {!cache_key}, where {!Pipeline.compile_pair} picks it up
     automatically. A second [tune] of the same model resolves entirely
     from the cache. *)
 
@@ -48,6 +47,13 @@ type result = {
       (** (group label, anchor extent, default tile rows) — the search
           lattice, for the CLI's winner-vs-default table. *)
 }
+
+val cache_key : Config.t -> Program.t -> string
+(** [cache_key config prog] is the tuning-cache key for [prog]'s network
+    compiled under [config]: a digest of {!Program.fingerprint} (the
+    same for every compile of one net), {!Tune_cache.machine_id}, the
+    config's bounds-check mode and its precision. {!tune} stores under
+    it and {!Pipeline.compile_pair} looks up under it. *)
 
 val tune :
   ?budget:budget ->

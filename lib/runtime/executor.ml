@@ -1,33 +1,20 @@
 type compiled_section = { label : string; code : Ir_compile.compiled }
 
 (* The execution knobs, unified: safety (bounds-check policy), domains
-   (parallel-loop worker count), warmup (timing runs discarded before
-   measurement). One record instead of scattered optional arguments. *)
+   (parallel-loop worker count), token (cancellation). One record
+   instead of scattered optional arguments. *)
 module Run_opts = struct
   type t = {
     safety : Ir_compile.safety option;
     domains : int;
-    warmup : int;
     token : Ir_compile.token option;
         (* Cancellation cell baked into the compiled sections. *)
-    auto_tune : bool;
-        (* Consult the tuning cache at prepare time for a tuned domain
-           count. On in [default]; any explicit [with_domains] turns it
-           off — a caller who chose a count meant it. *)
   }
 
   (* Env parsing lives in Latte_env, the one seam shared with
      Config.of_env (which this library cannot see). *)
-  let default =
-    {
-      safety = None;
-      domains = Latte_env.domains ();
-      warmup = 1;
-      token = None;
-      auto_tune = true;
-    }
-
-  let with_domains domains t = { t with domains; auto_tune = false }
+  let default = { safety = None; domains = Latte_env.domains (); token = None }
+  let with_domains domains t = { t with domains }
   let with_safety safety t = { t with safety = Some safety }
   let with_token token t = { t with token = Some token }
 end
@@ -59,38 +46,6 @@ let prepare ?(opts = Run_opts.default) (prog : Program.t) =
         else Ir_compile.Unsafe
   in
   let domains = max 1 opts.Run_opts.domains in
-  (* Tuned-schedule pickup: when the caller left the domain count at its
-     sequential default and did not pin one explicitly, a persisted
-     tuning-cache entry for this exact (network, machine, safety,
-     precision) may carry a measured-better count. Outputs are
-     bit-identical at any count, so this is purely a performance
-     consult; any cache problem silently means "no entry". *)
-  let domains =
-    if not (opts.Run_opts.auto_tune && domains = 1) then domains
-    else
-      match Tune_cache.dir () with
-      | None -> domains
-      | Some dir -> (
-          let key =
-            Tune_cache.key
-              ~fingerprint:(Program.fingerprint prog)
-              ~machine:(Tune_cache.machine_id ())
-              ~safety:
-                (match safety with
-                | Ir_compile.Unsafe -> "unsafe"
-                | Ir_compile.Guard_unproven -> "guard"
-                | Ir_compile.Checked -> "checked")
-              ~precision:(Program.precision_tag prog)
-          in
-          match Tune_cache.lookup ~dir ~key with
-          | Some payload -> (
-              match
-                Option.bind (List.assoc_opt "domains" payload) int_of_string_opt
-              with
-              | Some n when n >= 1 -> n
-              | _ -> domains)
-          | None -> domains)
-  in
   let pool = if domains > 1 then Some (Domain_pool.shared domains) else None in
   let runner = Option.map Domain_pool.runner pool in
   let cs = compile_section safety runner opts.Run_opts.token prog.buffers in
@@ -184,7 +139,7 @@ let median a =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-let time_run ~warmup ?(iters = 3) f =
+let time_run ?(warmup = 1) ?(iters = 3) f =
   for _ = 1 to warmup do
     f ()
   done;
@@ -196,13 +151,8 @@ let time_run ~warmup ?(iters = 3) f =
   in
   median samples
 
-let time_forward ?warmup ?iters t =
-  let warmup = Option.value ~default:t.opts.Run_opts.warmup warmup in
-  time_run ~warmup ?iters (fun () -> forward t)
-
-let time_backward ?warmup ?iters t =
-  let warmup = Option.value ~default:t.opts.Run_opts.warmup warmup in
-  time_run ~warmup ?iters (fun () -> backward t)
+let time_forward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> forward t)
+let time_backward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> backward t)
 
 let lookup_opt t name =
   let pool = t.prog.Program.buffers in

@@ -18,32 +18,23 @@ module Run_opts : sig
             ([Guard_unproven] when on, [Unsafe] when off). *)
     domains : int;
         (** Worker domains for parallel loops; clamped to [>= 1].
-            [1] is pure sequential execution. *)
-    warmup : int;  (** Default warmup runs for [time_forward]/[time_backward]. *)
+            [1] is pure sequential execution. {!prepare} runs at exactly
+            this count; only [Pipeline.compile_pair] may replace it with
+            a schedule's count. *)
     token : Ir_compile.token option;
         (** Cooperative cancellation cell compiled into every section:
             section entry and outermost loop iterations poll it, so a
             {!Ir_compile.cancel} unwinds the run as
             [Ir_compile.Cancelled] within one outer iteration. [None]
             (the default) compiles without any checks. *)
-    auto_tune : bool;
-        (** Consult the persisted tuning cache ({!Tune_cache}) at
-            {!prepare} time: when [true] and [domains] resolves to 1, a
-            cached entry for this exact (network, machine, safety,
-            precision) may raise the worker-domain count to its
-            measured-best value. Outputs are bit-identical at any
-            count. On in {!default}; {!with_domains} turns it off. *)
   }
 
   val default : t
   (** [safety = None], [domains] from the [LATTE_DOMAINS] environment
       variable (malformed or missing means 1, via {!Latte_env.domains}),
-      [warmup = 1], [token = None], [auto_tune = true]. *)
+      [token = None]. *)
 
   val with_domains : int -> t -> t
-  (** Pins the worker-domain count and sets [auto_tune = false] — a
-      caller who chose a count meant it. *)
-
   val with_safety : Ir_compile.safety -> t -> t
   val with_token : Ir_compile.token -> t -> t
 end
@@ -97,8 +88,8 @@ val forward_timed : t -> (string * float) list
 val backward_timed : t -> (string * float) list
 
 val time_forward : ?warmup:int -> ?iters:int -> t -> float
-(** Median-of-iters wall-clock seconds for a full forward pass.
-    [warmup] defaults to the prepared [Run_opts.warmup]. *)
+(** Median-of-[iters] (default 3) wall-clock seconds for a full forward
+    pass, after [warmup] (default 1) untimed runs. *)
 
 val time_backward : ?warmup:int -> ?iters:int -> t -> float
 

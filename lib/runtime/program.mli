@@ -34,8 +34,8 @@ type t = {
       (** Whether the executor should guard accesses {!Ir_bounds} cannot
           prove in-bounds (from {!Config.t.bounds_checks}). *)
   schedule_descr : string option;
-      (** When an explicit or cached schedule override drove the
-          tile/fuse/parallelize passes: its canonical description
+      (** When an explicit or cached schedule override was set for
+          the compile: its canonical description
           prefixed with its source, e.g. ["cache: tile(ip1)=8"]. [None]
           for purely heuristic (static) compilations. *)
 }

@@ -2,9 +2,8 @@
 
    A generic, versioned, CRC-validated store of small string payloads
    keyed by a hex digest — this module knows nothing about schedules;
-   the compiler's Schedule.to_payload/of_payload do the translation, so
-   the runtime library stays below the compiler in the dependency
-   order while Executor.prepare can still consult the cache.
+   the compiler's Schedule.to_payload/of_payload do the translation.
+   Tuner.tune writes entries and Pipeline.compile_pair reads them.
 
    One entry per file, `<key>.tune` under the cache directory:
 

@@ -4,8 +4,8 @@
 
     This module is deliberately schedule-agnostic — the compiler's
     [Schedule.to_payload]/[of_payload] translate to and from the stored
-    form — so it can live in the runtime library where
-    {!Executor.prepare} consults it.
+    form. [Tuner.tune] writes it, and [Pipeline.compile_pair] is its one
+    reader outside the tuner.
 
     One entry per file ([<key>.tune] under the cache directory), written
     atomically (temp file + rename). {!lookup} validates magic, schema
@@ -24,9 +24,9 @@ val machine_id : unit -> string
 val key :
   fingerprint:string -> machine:string -> safety:string -> precision:string ->
   string
-(** The cache key: a digest of the program's IR fingerprint
-    ({!Program.fingerprint}), the machine description, the bounds-check
-    safety mode and the execution precision. *)
+(** A digest of its four parts. [Tuner.cache_key] is the one recipe that
+    fills them in ({!Program.fingerprint}, {!machine_id}, the
+    bounds-check mode and the execution precision). *)
 
 val default_dir : unit -> string
 (** [<temp-dir>/latte-tune-cache], used when [LATTE_TUNE_CACHE] is

@@ -175,11 +175,12 @@ let compile t m ~version ~key =
 
      compile_pair consults the persisted tuning cache when the config
      carries no explicit schedule, so a fleet member that was `latte
-     tune`d on this machine serves its tuned schedule automatically.
-     The registry key stays schedule-independent on purpose: a tuned
-     schedule is bit-identical to the default by construction, so tuned
-     and untuned compiles of one (model, version) are interchangeable
-     and must not double-occupy the admission budget. *)
+     tune`d on this machine serves its tuned schedule, domain count
+     included, automatically. The registry key stays
+     schedule-independent on purpose: a tuned schedule is bit-identical
+     to the default by construction, so tuned and untuned compiles of
+     one (model, version) are interchangeable and must not
+     double-occupy the admission budget. *)
   let fast, reference =
     Pipeline.compile_pair ~seed:(m.seed + version) ~opts:t.opts m.config m.build
   in
@@ -199,7 +200,9 @@ let compile t m ~version ~key =
   (* The int8 preset quantizes each compiled version's fast program:
      calibrate on synthetic uniform-[0,1) batches (the load-generator
      feature distribution), repack, re-prepare. The reference stays
-     f32 — it is the rollback/degraded path. *)
+     f32 — it is the rollback/degraded path. Re-preparing reuses the
+     fast executor's own options, which carry the domain count
+     compile_pair chose. *)
   let fast =
     match m.config.Config.precision with
     | `I8 ->
@@ -210,7 +213,8 @@ let compile t m ~version ~key =
             ~keep:[ m.input_buf; m.output_buf ]
             ~preset:`I8 fast_prog
         in
-        if n > 0 then Executor.prepare ~opts:t.opts fast_prog else fast
+        if n > 0 then Executor.prepare ~opts:(Executor.run_opts fast) fast_prog
+        else fast
     | `F32 | `F16 -> fast
   in
   let quantized =

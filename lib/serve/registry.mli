@@ -19,9 +19,10 @@
     Tuned schedules from {!Tune_cache} flow in transparently:
     {!Pipeline.compile_pair} consults the cache whenever the model's
     config has no explicit schedule, so a previously [latte tune]d
-    model serves its measured-best schedule. The registry key does NOT
-    include the schedule — tuned output is bit-identical to default
-    output, so the two compiles are interchangeable. *)
+    model serves its measured-best schedule, at the schedule's domain
+    count when it names one. The registry key does NOT include the
+    schedule — tuned output is bit-identical to default output, so the
+    two compiles are interchangeable. *)
 
 type entry = {
   key : string;  (** The cache key — [model#vN@<hex12>]. *)
@@ -73,7 +74,9 @@ val create :
 (** [capacity] (default 8) is the resident-pair high-water mark;
     [machine] (default {!Machine.xeon_e5_2699v3}) prices the simulated
     section costs; [opts] (default {!Executor.Run_opts.default}) is
-    shared by every prepared executor. When [opts] carries no
+    shared by every prepared executor, except that a model's schedule,
+    explicit or cached, replaces [opts.domains] with its own domain
+    count ({!Pipeline.compile_pair}). When [opts] carries no
     cancellation token, a fresh one is installed so every compiled
     executor in the fleet can be cancelled mid-run. Raises
     [Invalid_argument] when [capacity <= 0]. *)

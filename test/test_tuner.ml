@@ -2,9 +2,9 @@
    canonicalization and cache-payload round-trips, Tune_cache
    durability (CRC, schema version, corrupt/truncated entries),
    fingerprint invariance across configs, tuning determinism under an
-   injected measure, automatic pickup by Pipeline.compile_pair and
-   Executor.prepare, and the bit-identity guarantee tuned-vs-default
-   over every stock model. *)
+   injected measure, automatic pickup by Pipeline.compile_pair (the one
+   cache reader), and the bit-identity guarantee tuned-vs-default over
+   every stock model. *)
 
 (* ---- environment parsing ------------------------------------------ *)
 
@@ -91,18 +91,18 @@ let test_schedule_payload_roundtrip () =
     |> Schedule.with_tile "ip1" 2
     |> Schedule.without_fusion "pool1+conv2"
     |> Schedule.with_domains 2
-    |> Schedule.with_precision `F16
   in
   let s' = Schedule.of_payload (Schedule.to_payload s) in
   Alcotest.(check bool) "round-trip preserves equal" true (Schedule.equal s s');
   Alcotest.(check string) "payload source is cache" "cache"
     (Schedule.source_name s');
   (* Forward compatibility: unknown and malformed entries are skipped,
-     the rest still parse. *)
+     the rest still parse. A [precision] entry, which older payloads
+     may carry, is just another unknown name. *)
   let s'' =
     Schedule.of_payload
       (("future.knob", "42") :: ("tile.ok", "4")
-      :: ("tile.bad", "many") :: ("domains", "-3")
+      :: ("tile.bad", "many") :: ("domains", "-3") :: ("precision", "f16")
       :: Schedule.to_payload s)
   in
   Alcotest.(check bool) "known entries survive junk" true
@@ -312,37 +312,38 @@ let test_compile_pair_pickup () =
             (String.length d > 9 && String.sub d 0 9 = "explicit:")
       | None -> Alcotest.fail "explicit schedule not recorded")
 
-let test_prepare_domains_pickup () =
+(* The cached domain count reaches both compile_pair executors even over
+   the caller's run options, while Executor.prepare never reads the
+   cache and runs at the count it is given. *)
+let test_compile_pair_domains_pickup () =
   let dir = fresh_dir () in
   let prog = Pipeline.compile ~seed:1 Config.default (tiny_mlp ()) in
-  let key =
-    Tune_cache.key
-      ~fingerprint:(Program.fingerprint prog)
-      ~machine:(Tune_cache.machine_id ())
-      ~safety:(if prog.Program.bounds_checks then "guard" else "unsafe")
-      ~precision:(Program.precision_tag prog)
-  in
-  Tune_cache.store ~dir ~key [ ("domains", "2") ];
+  Tune_cache.store ~dir
+    ~key:(Tuner.cache_key Config.default prog)
+    [ ("domains", "2") ];
+  let one = Executor.Run_opts.with_domains 1 Executor.Run_opts.default in
   Unix.putenv "LATTE_TUNE_CACHE" dir;
   Fun.protect
     ~finally:(fun () -> Unix.putenv "LATTE_TUNE_CACHE" "off")
     (fun () ->
-      (* The cache is consulted only at the sequential default; pin it,
-         since LATTE_DOMAINS may set another. *)
-      let exec =
-        Executor.prepare
-          ~opts:{ Executor.Run_opts.default with Executor.Run_opts.domains = 1 }
-          prog
+      let fast, reference =
+        Pipeline.compile_pair ~seed:1 ~opts:one Config.default tiny_mlp
       in
-      Alcotest.(check int) "auto_tune raises domains to the tuned count" 2
-        (Executor.domains exec);
-      let pinned =
-        Executor.prepare
-          ~opts:(Executor.Run_opts.with_domains 1 Executor.Run_opts.default)
-          prog
-      in
-      Alcotest.(check int) "with_domains pins and skips the cache" 1
-        (Executor.domains pinned))
+      Alcotest.(check int) "compile_pair adopts the cached count" 2
+        (Executor.domains fast);
+      Alcotest.(check int) "the reference runs at it too" 2
+        (Executor.domains reference);
+      Alcotest.(check int) "prepare runs at the count it is given" 1
+        (Executor.domains (Executor.prepare ~opts:one prog)))
+
+(* A schedule's domain count is a run-time choice: the compiled IR is
+   the same whatever count it names. *)
+let test_schedule_domains_keep_ir () =
+  let dump config = Pipeline.dump (Pipeline.compile ~seed:1 config (tiny_mlp ())) in
+  let single = Schedule.with_domains 1 Schedule.empty in
+  Alcotest.(check string) "domains=1 schedule compiles the unscheduled IR"
+    (dump Config.default)
+    (dump (Config.with_flags ~schedule:single Config.default))
 
 let test_report_schedule_source () =
   let source config =
@@ -470,8 +471,10 @@ let suite =
     Alcotest.test_case "tune: repeat is a cache hit" `Quick test_tune_cache_hit;
     Alcotest.test_case "compile_pair: cached-schedule pickup" `Quick
       test_compile_pair_pickup;
-    Alcotest.test_case "prepare: cached-domains pickup" `Quick
-      test_prepare_domains_pickup;
+    Alcotest.test_case "compile_pair: cached-domains pickup" `Quick
+      test_compile_pair_domains_pickup;
+    Alcotest.test_case "schedule: domains leave the IR alone" `Quick
+      test_schedule_domains_keep_ir;
     Alcotest.test_case "report: schedule source" `Quick
       test_report_schedule_source;
     Alcotest.test_case "stock models: tuned = default bitwise" `Slow

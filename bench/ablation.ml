@@ -36,11 +36,11 @@ let flag_ablation () =
       row name [ m.fwd /. base.fwd; m.bwd /. base.bwd ])
     [
       ("all optimizations (reference)", Config.default);
-      ("- gemm pattern matching", Config.with_flags ~pattern_match:false Config.default);
-      ("- batch-gemm hoisting", Config.with_flags ~batch_gemm:false Config.default);
-      ("- cross-layer fusion", Config.with_flags ~fusion:false Config.default);
-      ("- tiling (and fusion)", Config.with_flags ~tiling:false ~fusion:false Config.default);
-      ("- in-place activations", Config.with_flags ~inplace_activation:false Config.default);
+      ("- gemm pattern matching", Config.without [ "gemm"; "batch-gemm" ] Config.default);
+      ("- batch-gemm hoisting", Config.without [ "batch-gemm" ] Config.default);
+      ("- cross-layer fusion", Config.without [ "fuse" ] Config.default);
+      ("- tiling (and fusion)", Config.without [ "tile"; "fuse" ] Config.default);
+      ("- in-place activations", Config.without [ "layout" ] Config.default);
       ("nothing", Config.unoptimized);
     ]
 

@@ -10,13 +10,13 @@ let caffe_like_config =
   (* Per-layer GEMM kernels through a threaded BLAS (the cost model
      parallelizes GEMM rows internally), but serial layer code — the
      execution profile of 2016 Caffe/MKL on CPU. *)
-  Config.with_flags ~pattern_match:true ~batch_gemm:true Config.unoptimized
+  Config.with_flags ~passes:[ "gemm"; "batch-gemm"; "simplify" ] Config.unoptimized
 
 let latte_basic_parallel =
   (* "Latte with the parallelization strategy of §5.4.3" — the >7x bar
      of Figure 13: synthesized code, GEMM matching, parallel batch loop,
      but no tiling/fusion. *)
-  Config.with_flags ~tiling:false ~fusion:false Config.default
+  Config.without [ "tile"; "fuse" ] Config.default
 
 (* ----------------------------------------------------------------- *)
 (* Figure 13: optimization ablation on the first VGG block            *)
@@ -31,10 +31,10 @@ let fig13 () =
   let variants =
     [
       ("Latte (no optimizations)", Config.unoptimized);
-      ("Latte (+gemm)", Config.with_flags ~pattern_match:true ~batch_gemm:true Config.unoptimized);
-      ("Latte (+gemm +tiling)",
-        Config.with_flags ~fusion:false ~parallelize:false Config.default);
-      ("Latte (+gemm +tiling +fusion)", Config.with_flags ~parallelize:false Config.default);
+      ("Latte (+gemm)",
+        Config.with_flags ~passes:[ "gemm"; "batch-gemm"; "simplify" ] Config.unoptimized);
+      ("Latte (+gemm +tiling)", Config.without [ "fuse"; "parallelize" ] Config.default);
+      ("Latte (+gemm +tiling +fusion)", Config.without [ "parallelize" ] Config.default);
     ]
   in
   note "measured on 1 core, speedup over Caffe-like baseline";

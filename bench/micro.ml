@@ -52,7 +52,7 @@ let fused_block_test =
     (Staged.stage (fun () -> Executor.forward exec))
 
 let unfused_block_test =
-  let exec = make_block (Config.with_flags ~fusion:false ~tiling:false Config.default) in
+  let exec = make_block (Config.without [ "fuse"; "tile" ] Config.default) in
   Test.make ~name:"conv block fwd (latte unfused)"
     (Staged.stage (fun () -> Executor.forward exec))
 

@@ -22,7 +22,18 @@ open Cmdliner
 
 let model_names = [ "mlp"; "lenet"; "vgg-block"; "alexnet"; "vgg"; "overfeat" ]
 
-let build_model name ~batch ~image ~width_div ~fc_div =
+(* A bad command line: print [latte: MSG] and exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "latte: %s\n" msg;
+      exit 2)
+    fmt
+
+(* The model-size flags every model-building subcommand takes. *)
+type size = { batch : int; image : int; width_div : int; fc_div : int }
+
+let build_model name { batch; image; width_div; fc_div } =
   let scale = { Models.image; width_div; fc_div } in
   match name with
   | "mlp" -> Models.mlp ~batch ~n_inputs:(image * image) ~hidden:[ 64 ] ~n_classes:10
@@ -31,64 +42,46 @@ let build_model name ~batch ~image ~width_div ~fc_div =
   | "alexnet" -> Models.alexnet ~batch ~scale ()
   | "vgg" -> Models.vgg ~batch ~scale
   | "overfeat" -> Models.overfeat ~batch ~scale
-  | other -> failwith (Printf.sprintf "unknown model %s (try: %s)" other
-                         (String.concat ", " model_names))
+  | other ->
+      usage_error "unknown model %s (try: %s)" other
+        (String.concat ", " model_names)
 
 let model_arg =
   let doc = "Model architecture: " ^ String.concat ", " model_names ^ "." in
   Arg.(value & opt string "lenet" & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
 
-let batch_arg =
-  Arg.(value & opt int 4 & info [ "b"; "batch" ] ~docv:"N" ~doc:"Batch size.")
+let size_term =
+  let mk batch image width_div fc_div = { batch; image; width_div; fc_div } in
+  Term.(
+    const mk
+    $ Arg.(value & opt int 4 & info [ "b"; "batch" ] ~docv:"N" ~doc:"Batch size.")
+    $ Arg.(value & opt int 32 & info [ "image" ] ~docv:"PX"
+             ~doc:"Input spatial size.")
+    $ Arg.(value & opt int 8 & info [ "width-div" ] ~docv:"D"
+             ~doc:"Divide channel counts by D (reduced-scale runs).")
+    $ Arg.(value & opt int 32 & info [ "fc-div" ] ~docv:"D"
+             ~doc:"Divide fully-connected widths by D."))
 
-let image_arg =
-  Arg.(value & opt int 32 & info [ "image" ] ~docv:"PX" ~doc:"Input spatial size.")
-
-let width_div_arg =
-  Arg.(value & opt int 8 & info [ "width-div" ] ~docv:"D"
-         ~doc:"Divide channel counts by D (reduced-scale runs).")
-
-let fc_div_arg =
-  Arg.(value & opt int 32 & info [ "fc-div" ] ~docv:"D"
-         ~doc:"Divide fully-connected widths by D.")
-
-let precision_enum : (string * Precision.preset) list =
-  [ ("f32", `F32); ("f16", `F16); ("int8", `I8) ]
-
-let precision_arg =
-  Arg.(value & opt (some (enum precision_enum)) None
-       & info [ "precision" ] ~docv:"P"
-           ~doc:"Execution precision preset: $(b,f32) (reference), $(b,f16) \
-                 (activations stored as binary16, f32 accumulation), \
-                 $(b,int8) (post-training quantized storage with int32 \
-                 accumulation; calibrated where the command has data). \
-                 Default: the LATTE_PRECISION environment variable, else \
-                 f32.")
-
+(* The compiler and runtime flags every compiling subcommand takes. *)
 let config_term =
-  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
-  let mk no_gemm no_tiling no_fusion no_parallel no_inplace no_bounds tile_size
-      num_domains precision =
-    Config.with_flags ~pattern_match:(not no_gemm)
-      ~tiling:(not no_tiling)
-      ~fusion:(not no_fusion)
-      ~parallelize:(not no_parallel)
-      ~inplace_activation:(not no_inplace)
-      ~bounds_checks:(not no_bounds)
-      ~batch_gemm:(not no_gemm) ~tile_size ?num_domains ?precision
-      Config.default
+  let mk no_bounds tile_size num_domains precision passes =
+    let config =
+      Config.with_flags ~bounds_checks:(not no_bounds) ~tile_size ?num_domains
+        ?precision Config.default
+    in
+    match passes with
+    | None -> config
+    | Some spec -> (
+        try Pass_manager.edit (Pass_manager.parse_spec spec) config
+        with Invalid_argument msg -> usage_error "%s" msg)
   in
   Term.(
     const mk
-    $ flag "no-gemm" "Disable GEMM pattern matching."
-    $ flag "no-tiling" "Disable loop tiling."
-    $ flag "no-fusion" "Disable cross-layer fusion."
-    $ flag "no-parallel" "Disable parallel annotations."
-    $ flag "no-inplace" "Disable in-place activations."
-    $ flag "no-bounds-checks"
-        "Compile every buffer access on the unsafe fast path, including \
-         accesses the bounds analyzer could not prove in-bounds (default: \
-         unproven accesses get a runtime guard)."
+    $ Arg.(value & flag & info [ "no-bounds-checks" ]
+             ~doc:"Compile every buffer access on the unsafe fast path, \
+                   including accesses the bounds analyzer could not prove \
+                   in-bounds (default: unproven accesses get a runtime \
+                   guard).")
     $ Arg.(value & opt int 4 & info [ "tile-size" ] ~docv:"ROWS"
              ~doc:"Rows of the last fused layer per tile.")
     $ Arg.(value & opt (some int) None
@@ -96,7 +89,21 @@ let config_term =
                ~doc:"Worker domains executing parallel-annotated loops \
                      (default: the LATTE_DOMAINS environment variable, else \
                      1). Outputs are bit-identical at any count.")
-    $ precision_arg)
+    $ Arg.(value
+           & opt (some (enum [ ("f32", `F32); ("f16", `F16); ("int8", `I8) ])) None
+           & info [ "precision" ] ~docv:"P"
+               ~doc:"Execution precision preset: $(b,f32) (reference), \
+                     $(b,f16) (activations stored as binary16, f32 \
+                     accumulation), $(b,int8) (post-training quantized \
+                     storage with int32 accumulation; calibrated where the \
+                     command has data). Default: the LATTE_PRECISION \
+                     environment variable, else f32.")
+    $ Arg.(value & opt (some string) None
+           & info [ "passes" ] ~docv:"LIST"
+               ~doc:"The optional compiler passes to run. LIST is \
+                     comma-separated: $(b,all), $(b,none), an exact list of \
+                     pass names, or +name/-name edits of the default (every \
+                     optional pass; see $(b,latte passes))."))
 
 (* The executor options a CLI config implies: --domains feeds the
    domain-pool size, everything else keeps Run_opts defaults. *)
@@ -104,28 +111,27 @@ let run_opts_of config =
   Executor.Run_opts.with_domains config.Config.num_domains
     Executor.Run_opts.default
 
-let passes_arg =
-  Arg.(value & opt (some string) None
-       & info [ "passes" ] ~docv:"LIST"
-           ~doc:"Override the enabled optimization passes. LIST is \
-                 comma-separated: $(b,all), $(b,none), an exact list of pass \
-                 names, or +name/-name edits of the config-derived defaults \
-                 (see $(b,latte passes)).")
-
 let verify_arg =
   Arg.(value & flag
        & info [ "verify-ir" ]
            ~doc:"Run the IR well-formedness verifier after every compiler \
                  pass; abort with diagnostics on the first failure.")
 
+let watchdog_slack_arg =
+  Arg.(value & opt float 8.0 & info [ "watchdog-slack" ] ~docv:"X"
+         ~doc:"Hang-watchdog threshold: a section whose simulated run time \
+               exceeds its cost-model estimate by more than this factor \
+               cancels the batch mid-run and recycles the worker domains.")
+
+let faults_of = function
+  | None -> Fault.none
+  | Some spec -> (
+      try Fault.parse spec with Invalid_argument msg -> usage_error "%s" msg)
+
 (* Run the pass manager with CLI-friendly error handling: verifier
-   diagnostics exit 1, bad pass names exit 2. *)
-let compile_with ?passes ?(verify = false) ?(dump_after = []) config net =
-  try
-    Pass_manager.run
-      ?passes:(Option.map Pass_manager.parse_spec passes)
-      ~verify ~dump_after config net
-  with
+   diagnostics exit 1, bad --dump-ir-after names exit 2. *)
+let compile_with ?(verify = false) ?(dump_after = []) config net =
+  try Pass_manager.run ~verify ~dump_after config net with
   | Pass_manager.Verification_failed (pass, errs) ->
       Printf.eprintf "latte: IR verification failed after pass `%s':\n" pass;
       List.iter (fun e -> Printf.eprintf "  %s\n" (Ir_verify.to_string e)) errs;
@@ -136,21 +142,16 @@ let compile_with ?passes ?(verify = false) ?(dump_after = []) config net =
         (fun f -> Printf.eprintf "  %s\n" (Ir_bounds.finding_to_string f))
         findings;
       exit 1
-  | Invalid_argument msg ->
-      Printf.eprintf "latte: %s\n" msg;
-      exit 2
+  | Invalid_argument msg -> usage_error "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* dump-ir                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let dump_ir model batch image width_div fc_div config passes verify dump_after
-    pass_stats =
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
+let dump_ir model size config verify dump_after pass_stats =
+  let spec = build_model model size in
   let dump_after = List.concat_map Pass_manager.parse_spec dump_after in
-  let prog, report =
-    compile_with ?passes ~verify ~dump_after config spec.Models.net
-  in
+  let prog, report = compile_with ~verify ~dump_after config spec.Models.net in
   List.iter
     (fun (o : Pass_manager.outcome) ->
       match o.dump with
@@ -220,9 +221,8 @@ let dump_ir_cmd =
   in
   Cmd.v
     (Cmd.info "dump-ir" ~doc:"Compile a model and print the optimized IR.")
-    Term.(const dump_ir $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ passes_arg $ verify_arg $ dump_after_arg
-          $ pass_stats_arg)
+    Term.(const dump_ir $ model_arg $ size_term $ config_term $ verify_arg
+          $ dump_after_arg $ pass_stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -311,10 +311,9 @@ let print_races prog =
         reports)
     races
 
-let analyze model batch image width_div fc_div config passes verify ranges
-    races =
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
-  let prog, report = compile_with ?passes ~verify config spec.Models.net in
+let analyze model size config verify ranges races =
+  let spec = build_model model size in
+  let prog, report = compile_with ~verify config spec.Models.net in
   let rep =
     Program.analyze
       ~live_out:[ spec.Models.loss_buf; spec.Models.output_ens ^ ".value" ]
@@ -378,18 +377,17 @@ let analyze_cmd =
              findings. Exits 1 when any finding is fatal (a proven \
              out-of-bounds access or a read of never-initialized data), or \
              when $(b,--races) finds a proven race.")
-    Term.(const analyze $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ passes_arg $ verify_arg $ ranges_arg
-          $ races_arg)
+    Term.(const analyze $ model_arg $ size_term $ config_term $ verify_arg
+          $ ranges_arg $ races_arg)
 
 (* ------------------------------------------------------------------ *)
 (* train                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let train model batch image width_div fc_div config passes verify iters lr
-    faults_spec ckpt_dir =
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
-  let prog, _report = compile_with ?passes ~verify config spec.Models.net in
+let train model size config verify iters lr faults_spec ckpt_dir =
+  let spec = build_model model size in
+  let image = size.image in
+  let prog, _report = compile_with ~verify config spec.Models.net in
   let exec = Executor.prepare ~opts:(run_opts_of config) prog in
   let data_buf = spec.Models.data_ens ^ ".value" in
   (* Gray synthetic images with as many channels as the model's input
@@ -420,15 +418,7 @@ let train model batch image width_div fc_div config passes verify iters lr
   | _ ->
       (* Supervised, fault-tolerant path: checkpoint rotation, divergence
          detection, rollback with LR backoff — with optional armed faults. *)
-      let faults =
-        match faults_spec with
-        | None -> Fault.none
-        | Some s -> (
-            try Fault.parse s
-            with Invalid_argument msg ->
-              Printf.eprintf "latte: %s\n" msg;
-              exit 2)
-      in
+      let faults = faults_of faults_spec in
       let ckpt_dir =
         match ckpt_dir with
         | Some d -> d
@@ -444,9 +434,7 @@ let train model batch image width_div fc_div config passes verify iters lr
           Trainer.fit ~log ~faults ~ckpt_dir ~solver ~exec ~data:train_set
             ~data_buf ~label_buf:spec.Models.label_buf
             ~loss_buf:spec.Models.loss_buf ~iters ()
-        with Invalid_argument msg ->
-          Printf.eprintf "latte: %s\n" msg;
-          exit 2
+        with Invalid_argument msg -> usage_error "%s" msg
       in
       List.iter
         (fun e -> Printf.printf "[event] %s\n" (Trainer.event_to_string e))
@@ -526,27 +514,17 @@ let train_cmd =
   Cmd.v
     (Cmd.info "train"
        ~doc:"Train a model on a synthetic MNIST-like dataset and report accuracy.")
-    Term.(const train $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ passes_arg $ verify_arg $ iters $ lr
-          $ faults $ ckpt_dir)
+    Term.(const train $ model_arg $ size_term $ config_term $ verify_arg $ iters
+          $ lr $ faults $ ckpt_dir)
 
 (* ------------------------------------------------------------------ *)
 (* serve-sim                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let serve_sim model batch image width_div fc_div config requests rate deadline_ms
-    queue_cap max_wait_ms breaker_k cooldown_ms retries backoff_ms
-    watchdog_slack faults_spec seed =
-  let faults =
-    match faults_spec with
-    | None -> Fault.none
-    | Some s -> (
-        try Fault.parse s
-        with Invalid_argument msg ->
-          Printf.eprintf "latte: %s\n" msg;
-          exit 2)
-  in
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
+let serve_sim model size config requests rate deadline_ms queue_cap max_wait_ms
+    breaker_k cooldown_ms retries backoff_ms watchdog_slack faults_spec seed =
+  let faults = faults_of faults_spec in
+  let spec = build_model model size in
   (* Single-model serving is a one-tenant fleet over a one-model
      registry: the tenant's token bucket never throttles and its queue
      is the --queue-cap high-water mark. *)
@@ -554,7 +532,7 @@ let serve_sim model batch image width_div fc_div config requests rate deadline_m
   Registry.register registry ~name:model ~seed ~config
     ~input_buf:(spec.Models.data_ens ^ ".value")
     ~output_buf:(spec.Models.output_ens ^ ".value")
-    (fun () -> (build_model model ~batch ~image ~width_div ~fc_div).Models.net);
+    (fun () -> (build_model model size).Models.net);
   let fleet =
     try
       let fleet =
@@ -570,13 +548,11 @@ let serve_sim model batch image width_div fc_div config requests rate deadline_m
          here. *)
       ignore (Fleet.batch_size fleet model);
       fleet
-    with Invalid_argument msg ->
-      Printf.eprintf "latte: %s\n" msg;
-      exit 2
+    with Invalid_argument msg -> usage_error "%s" msg
   in
   let entry = Registry.get registry model ~version:0 in
   Printf.printf "serving %s (batch %d, queue %d, breaker K=%d, cooldown %gms)\n"
-    model batch queue_cap breaker_k cooldown_ms;
+    model size.batch queue_cap breaker_k cooldown_ms;
   if entry.Registry.quantized then
     Printf.printf
       "fast path quantized (%s preset); degraded reference stays f32\n"
@@ -661,12 +637,6 @@ let serve_sim_cmd =
     Arg.(value & opt float 0.1 & info [ "backoff-ms" ] ~docv:"MS"
            ~doc:"Base retry backoff (doubles per attempt), simulated ms.")
   in
-  let watchdog_slack =
-    Arg.(value & opt float 8.0 & info [ "watchdog-slack" ] ~docv:"X"
-           ~doc:"Hang-watchdog threshold: a section whose simulated run time \
-                 exceeds its cost-model estimate by more than this factor \
-                 cancels the batch mid-run and recycles the worker domains.")
-  in
   let faults =
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Arm a serving-time fault plan: poison-out:BUF@K (corrupt \
@@ -692,10 +662,10 @@ let serve_sim_cmd =
              load shedding and a circuit breaker degrading to the \
              unoptimized reference executor; prints latency percentiles, \
              shed/timeout/degraded counts and breaker transitions.")
-    Term.(const serve_sim $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ requests $ rate $ deadline_ms $ queue_cap
-          $ max_wait_ms $ breaker_k $ cooldown_ms $ retries $ backoff_ms
-          $ watchdog_slack $ faults $ seed)
+    Term.(const serve_sim $ model_arg $ size_term $ config_term $ requests
+          $ rate $ deadline_ms $ queue_cap $ max_wait_ms $ breaker_k
+          $ cooldown_ms $ retries $ backoff_ms $ watchdog_slack_arg $ faults
+          $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* fleet-sim                                                           *)
@@ -704,9 +674,8 @@ let serve_sim_cmd =
 let split_csv s =
   List.filter (fun x -> x <> "") (String.split_on_char ',' (String.trim s))
 
-let fleet_sim scenario_name list_scenarios mix_csv batch image width_div fc_div
-    domains capacity duration seed nodes_csv precision watchdog_slack
-    mem_budget_mb =
+let fleet_sim scenario_name list_scenarios mix_csv size config capacity duration
+    seed nodes_csv watchdog_slack mem_budget_mb =
   if list_scenarios then begin
     let models = List.map (fun m -> (m, m)) model_names in
     List.iter
@@ -719,47 +688,33 @@ let fleet_sim scenario_name list_scenarios mix_csv batch image width_div fc_div
   let mix = split_csv mix_csv in
   List.iter
     (fun m ->
-      if not (List.mem m model_names) then begin
-        Printf.eprintf "latte: unknown model %s in --models (try: %s)\n" m
-          (String.concat ", " model_names);
-        exit 2
-      end)
+      if not (List.mem m model_names) then
+        usage_error "unknown model %s in --models (try: %s)" m
+          (String.concat ", " model_names))
     mix;
-  if mix = [] then begin
-    Printf.eprintf "latte: --models must name at least one model\n";
-    exit 2
-  end;
+  if mix = [] then usage_error "--models must name at least one model";
   (match mem_budget_mb with
   | None -> ()
   | Some mb when mb > 0 -> Buffer_pool.set_budget (Some (mb * 1024 * 1024))
-  | Some mb ->
-      Printf.eprintf "latte: --mem-budget %d must be positive\n" mb;
-      exit 2);
-  let registry =
-    Registry.create ~capacity
-      ~opts:(Executor.Run_opts.with_domains domains Executor.Run_opts.default)
-      ()
-  in
+  | Some mb -> usage_error "--mem-budget %d must be positive" mb);
+  let registry = Registry.create ~capacity ~opts:(run_opts_of config) () in
   (* Every stock model is registered (compilation is lazy — only models
      the traffic mix touches are ever built); [--models] picks the mix. *)
-  let model_config = Config.with_flags ?precision Config.default in
   let output_bufs =
     List.map
       (fun name ->
-        let spec = build_model name ~batch ~image ~width_div ~fc_div in
-        Registry.register registry ~name ~config:model_config
+        let spec = build_model name size in
+        Registry.register registry ~name ~config
           ~input_buf:(spec.Models.data_ens ^ ".value")
           ~output_buf:(spec.Models.output_ens ^ ".value")
-          (fun () -> (build_model name ~batch ~image ~width_div ~fc_div).Models.net);
+          (fun () -> (build_model name size).Models.net);
         (name, spec.Models.output_ens ^ ".value"))
       model_names
   in
   let models = List.map (fun m -> (m, List.assoc m output_bufs)) mix in
   let sc =
     try Scenario.stock ?duration ~models scenario_name
-    with Invalid_argument msg ->
-      Printf.eprintf "latte: %s\n" msg;
-      exit 2
+    with Invalid_argument msg -> usage_error "%s" msg
   in
   let fleet =
     Fleet.create ~faults:sc.Scenario.fleet_faults ~watchdog_slack ~registry
@@ -770,13 +725,13 @@ let fleet_sim scenario_name list_scenarios mix_csv batch image width_div fc_div
     (String.concat ", " model_names)
     (String.concat ", " mix);
   Printf.printf "domains %d, registry capacity %d, seed %d, horizon %.0f ms\n"
-    domains capacity seed (sc.Scenario.duration *. 1e3);
+    config.Config.num_domains capacity seed (sc.Scenario.duration *. 1e3);
   (match Buffer_pool.budget () with
   | Some b ->
       Printf.printf "memory budget: %d MB (admission-controlled)\n"
         (b / (1024 * 1024))
   | None -> ());
-  (match model_config.Config.precision with
+  (match config.Config.precision with
   | `F32 -> ()
   | p ->
       Printf.printf
@@ -800,9 +755,7 @@ let fleet_sim scenario_name list_scenarios mix_csv batch image width_div fc_div
         (fun s ->
           match int_of_string_opt s with
           | Some n when n > 0 -> n
-          | _ ->
-              Printf.eprintf "latte: bad node count %s in --nodes\n" s;
-              exit 2)
+          | _ -> usage_error "bad node count %s in --nodes" s)
         (split_csv nodes_csv)
     in
     let nic = Machine.infiniband in
@@ -847,10 +800,6 @@ let fleet_sim_cmd =
                    first is the hot/updated one). All stock models are \
                    registered either way; only touched ones compile.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains shared by every prepared executor.")
-  in
   let capacity =
     Arg.(value & opt int 4 & info [ "capacity" ] ~docv:"N"
            ~doc:"Registry LRU capacity (resident prepared pairs).")
@@ -868,12 +817,6 @@ let fleet_sim_cmd =
     Arg.(value & opt string "1,2,4,8,16" & info [ "nodes" ] ~docv:"LIST"
            ~doc:"Node counts for the multi-node extrapolation table.")
   in
-  let watchdog_slack =
-    Arg.(value & opt float 8.0 & info [ "watchdog-slack" ] ~docv:"X"
-           ~doc:"Hang-watchdog threshold: a section whose simulated run time \
-                 exceeds its cost-model estimate by more than this factor \
-                 cancels the batch mid-run and recycles the worker domains.")
-  in
   let mem_budget =
     Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB"
            ~doc:"Process memory budget in megabytes: model admission is \
@@ -889,20 +832,19 @@ let fleet_sim_cmd =
              updates with atomic rollback; prints the fleet report, \
              per-tenant table, event timeline and a multi-node \
              extrapolation. Exits non-zero if any request goes unanswered.")
-    Term.(const fleet_sim $ scenario $ list_scenarios $ mix $ batch_arg
-          $ image_arg $ width_div_arg $ fc_div_arg $ domains $ capacity
-          $ duration $ seed $ nodes $ precision_arg $ watchdog_slack
-          $ mem_budget)
+    Term.(const fleet_sim $ scenario $ list_scenarios $ mix $ size_term
+          $ config_term $ capacity $ duration $ seed $ nodes
+          $ watchdog_slack_arg $ mem_budget)
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let bench model batch image width_div fc_div config passes verify =
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
-  let fresh () = (build_model model ~batch ~image ~width_div ~fc_div).Models.net in
+let bench model size config verify =
+  let spec = build_model model size in
+  let fresh () = (build_model model size).Models.net in
   let net = spec.Models.net in
-  let prog, _report = compile_with ?passes ~verify config net in
+  let prog, _report = compile_with ~verify config net in
   let exec = Executor.prepare ~opts:(run_opts_of config) prog in
   if Executor.domains exec > 1 then
     Printf.printf "executing parallel loops on %d domains\n"
@@ -957,6 +899,7 @@ let bench model batch image width_div fc_div config passes verify =
       in
       Executor.forward exec;
       let out_q = Executor.read_f32 exec output_buf in
+      let batch = size.batch in
       let classes = Tensor.numel out_q / batch in
       let agree = ref 0 and max_delta = ref 0.0 in
       for i = 0 to batch - 1 do
@@ -989,32 +932,26 @@ let bench model batch image width_div fc_div config passes verify =
 let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Time a model against the Caffe-like baseline.")
-    Term.(const bench $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ passes_arg $ verify_arg)
+    Term.(const bench $ model_arg $ size_term $ config_term $ verify_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let tune_run model batch image width_div fc_div config budget seed max_domains
-    no_cache cache_dir force quiet =
+let tune_run model size config budget seed max_domains no_cache cache_dir force
+    quiet =
   let budget =
     match Tuner.budget_of_string budget with
     | Some b -> b
-    | None ->
-        Printf.eprintf "latte: unknown budget `%s' (small, medium, large)\n"
-          budget;
-        exit 2
+    | None -> usage_error "unknown budget `%s' (small, medium, large)" budget
   in
-  let build () = (build_model model ~batch ~image ~width_div ~fc_div).Models.net in
+  let build () = (build_model model size).Models.net in
   let log = if quiet then fun _ -> () else print_endline in
   let r =
     try
       Tuner.tune ~budget ~seed ?max_domains ~use_cache:(not no_cache)
         ?cache_dir ~force ~log ~config ~build ()
-    with Failure msg | Invalid_argument msg ->
-      Printf.eprintf "latte: %s\n" msg;
-      exit 2
+    with Failure msg | Invalid_argument msg -> usage_error "%s" msg
   in
   Printf.printf "\n=== %s: winner vs default ===\n" model;
   Printf.printf "  %-36s %8s %8s %8s\n" "group" "extent" "default" "tuned";
@@ -1099,16 +1036,16 @@ let tune_cmd =
              where compile_pair and the serving registry pick it up \
              automatically. Tuned outputs are bit-identical to the default \
              schedule's.")
-    Term.(const tune_run $ model_pos $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ config_term $ budget_arg $ seed_arg $ max_domains_arg
-          $ no_cache_arg $ cache_arg $ force_arg $ quiet_arg)
+    Term.(const tune_run $ model_pos $ size_term $ config_term $ budget_arg
+          $ seed_arg $ max_domains_arg $ no_cache_arg $ cache_arg $ force_arg
+          $ quiet_arg)
 
 (* ------------------------------------------------------------------ *)
 (* models / machines                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let graph model batch image width_div fc_div out =
-  let spec = build_model model ~batch ~image ~width_div ~fc_div in
+let graph model size out =
+  let spec = build_model model size in
   match out with
   | None -> print_string (Net_dot.to_dot spec.Models.net)
   | Some path ->
@@ -1122,8 +1059,7 @@ let graph_cmd =
   in
   Cmd.v
     (Cmd.info "graph" ~doc:"Export a model's ensemble graph as Graphviz DOT.")
-    Term.(const graph $ model_arg $ batch_arg $ image_arg $ width_div_arg
-          $ fc_div_arg $ out)
+    Term.(const graph $ model_arg $ size_term $ out)
 
 let models_cmd =
   Cmd.v

@@ -27,7 +27,9 @@ let stage title passes =
   Printf.printf "\n########## %s (passes: %s) ##########\n" title
     (String.concat "," passes);
   let prog, report =
-    Pass_manager.run ~passes ~verify:true Config.default (build ())
+    Pass_manager.run ~verify:true
+      (Pass_manager.edit passes Config.default)
+      (build ())
   in
   (* Print the forward code only; backward follows the same structure. *)
   List.iter

@@ -1,11 +1,6 @@
 type t = {
-  pattern_match : bool;
-  tiling : bool;
-  fusion : bool;
-  parallelize : bool;
+  passes : string list;
   tile_size : int;
-  batch_gemm : bool;
-  inplace_activation : bool;
   bounds_checks : bool;
   num_domains : int;
   precision : Precision.preset;
@@ -35,13 +30,9 @@ let of_env () =
 let default =
   let env = of_env () in
   {
-    pattern_match = true;
-    tiling = true;
-    fusion = true;
-    parallelize = true;
+    passes =
+      [ "layout"; "gemm"; "batch-gemm"; "fuse"; "tile"; "simplify"; "parallelize" ];
     tile_size = 4;
-    batch_gemm = true;
-    inplace_activation = true;
     bounds_checks = true;
     num_domains = env.env_domains;
     precision = env.env_precision;
@@ -50,34 +41,29 @@ let default =
 
 let unoptimized =
   {
-    pattern_match = false;
-    tiling = false;
-    fusion = false;
-    parallelize = false;
+    passes = [ "simplify" ];
     tile_size = 4;
-    batch_gemm = false;
-    inplace_activation = false;
     bounds_checks = true;
     num_domains = 1;
     precision = `F32;
     schedule = None;
   }
 
-let with_flags ?pattern_match ?tiling ?fusion ?parallelize ?tile_size ?batch_gemm
-    ?inplace_activation ?bounds_checks ?num_domains ?precision ?schedule t =
+let with_flags ?passes ?tile_size ?bounds_checks ?num_domains ?precision ?schedule
+    t =
   {
-    pattern_match = Option.value ~default:t.pattern_match pattern_match;
-    tiling = Option.value ~default:t.tiling tiling;
-    fusion = Option.value ~default:t.fusion fusion;
-    parallelize = Option.value ~default:t.parallelize parallelize;
+    passes = Option.value ~default:t.passes passes;
     tile_size = Option.value ~default:t.tile_size tile_size;
-    batch_gemm = Option.value ~default:t.batch_gemm batch_gemm;
-    inplace_activation = Option.value ~default:t.inplace_activation inplace_activation;
     bounds_checks = Option.value ~default:t.bounds_checks bounds_checks;
     num_domains = Option.value ~default:t.num_domains num_domains;
     precision = Option.value ~default:t.precision precision;
     schedule = (match schedule with Some s -> Some s | None -> t.schedule);
   }
+
+let enabled name t = List.mem name t.passes
+
+let without names t =
+  { t with passes = List.filter (fun p -> not (List.mem p names)) t.passes }
 
 let normalize t =
   let warnings = ref [] in
@@ -91,27 +77,27 @@ let normalize t =
     | Some s ->
         let s, sched_warns = Schedule.sanitize s in
         List.iter warn sched_warns;
-        if s.Schedule.tiles <> [] && not t.tiling then
+        if s.Schedule.tiles <> [] && not (enabled "tile" t) then
           warn
             "config: schedule tile targets are ignored while tiling is \
              disabled (pass `tile')";
         { t with schedule = Some s }
   in
   let t =
-    if t.fusion && not t.tiling then begin
+    if enabled "fuse" t && not (enabled "tile" t) then begin
       warn
         "config: cross-layer fusion requires tiling (fused tiles are what \
          fusion schedules); disabling fusion (pass `fuse')";
-      { t with fusion = false }
+      without [ "fuse" ] t
     end
     else t
   in
   let t =
-    if t.batch_gemm && not t.pattern_match then begin
+    if enabled "batch-gemm" t && not (enabled "gemm" t) then begin
       warn
         "config: batch-GEMM hoisting requires GEMM pattern matching (there \
          are no GEMV calls to stack); disabling batch-gemm (pass `batch-gemm')";
-      { t with batch_gemm = false }
+      without [ "batch-gemm" ] t
     end
     else t
   in
@@ -128,17 +114,9 @@ let normalize t =
   (t, List.rev !warnings)
 
 let describe t =
-  let flag name b = if b then [ name ] else [] in
-  let parts =
-    flag "gemm" t.pattern_match @ flag "tiling" t.tiling @ flag "fusion" t.fusion
-    @ flag "parallel" t.parallelize
-    @ flag "batch-gemm" t.batch_gemm
-    @ flag "inplace" t.inplace_activation
-  in
-  let base = if parts = [] then "none" else String.concat "+" parts in
+  let base = if t.passes = [] then "none" else String.concat "+" t.passes in
   (* Precision enters the description (and thus every compile-cache key
-     built from it) only when it departs from f32, keeping the f32
-     spelling byte-identical to what tools and tests already pin. *)
+     built from it) only when it departs from f32. *)
   let base =
     match t.precision with
     | `F32 -> base

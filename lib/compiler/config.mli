@@ -1,22 +1,17 @@
-(** Compiler optimization flags, the knobs behind the Figure 13
-    ablation. [default] enables everything; [unoptimized] is the plain
+(** Compiler configuration, the knobs behind the Figure 13 ablation.
+    [default] runs every optional pass; [unoptimized] is the plain
     synthesized code. *)
 
 type t = {
-  pattern_match : bool;  (** Rewrite dot-product nests to GEMM (§5.4.1). *)
-  tiling : bool;  (** Loop tiling with dependence metadata (§5.4.1). *)
-  fusion : bool;  (** Cross-layer fusion of tiled loops (§5.4.2). *)
-  parallelize : bool;  (** Batch × tile parallel annotations (§5.4.3). *)
+  passes : string list;
+      (** The optional passes that run, by {!Pass_manager} registry name
+          (see [latte passes]). Required passes always run;
+          [Pass_manager.run] rejects unknown names. *)
   tile_size : int;
       (** Target rows of the *last* layer per tile — the uniform
           fallback for every group a [schedule] does not name (and for
           all groups when [schedule = None]). Per-group targets come
           from {!Schedule.t}. *)
-  batch_gemm : bool;
-      (** Hoist per-item GEMV/rank-1 calls to whole-batch GEMMs. *)
-  inplace_activation : bool;
-      (** Run ActivationEnsembles in place when the source has a single
-          consumer (§3.2). *)
   bounds_checks : bool;
       (** Guard buffer accesses the {!Ir_bounds} analyzer cannot prove
           in-bounds (proven accesses keep the unsafe fast path). On in
@@ -46,7 +41,10 @@ type t = {
 }
 
 val default : t
+(** Every optional pass, in registry order. *)
+
 val unoptimized : t
+(** Only [simplify]. *)
 
 (** What the environment contributes to {!default}: the one seam through
     which [LATTE_DOMAINS], [LATTE_PRECISION] and [LATTE_TUNE_CACHE] are
@@ -61,13 +59,8 @@ type env = {
 val of_env : unit -> env
 
 val with_flags :
-  ?pattern_match:bool ->
-  ?tiling:bool ->
-  ?fusion:bool ->
-  ?parallelize:bool ->
+  ?passes:string list ->
   ?tile_size:int ->
-  ?batch_gemm:bool ->
-  ?inplace_activation:bool ->
   ?bounds_checks:bool ->
   ?num_domains:int ->
   ?precision:Precision.preset ->
@@ -75,18 +68,25 @@ val with_flags :
   t ->
   t
 
+val enabled : string -> t -> bool
+(** [enabled name t]: [name] is in [t.passes]. *)
+
+val without : string list -> t -> t
+(** [t] with the named passes removed from [passes]. *)
+
 val normalize : t -> t * string list
-(** Resolve silently-coupled flags into an explicit configuration, with
-    a human-readable warning per adjustment: [fusion] without [tiling]
-    is dropped (fusion schedules tiles), [batch_gemm] without
-    [pattern_match] is dropped (there are no GEMV calls to stack), and
-    [num_domains < 1] is clamped to 1. A [schedule] is sanitized
-    ({!Schedule.sanitize}: tile targets < 1 dropped with a warning) and
-    warned about when its tile entries are dead under disabled tiling
-    (tile targets that divide no section are diagnosed later by the
-    tile pass, which knows the extents). *)
+(** Resolve silently-coupled settings into an explicit configuration,
+    with a human-readable warning per adjustment: [fuse] without [tile]
+    is dropped (fusion schedules tiles), [batch-gemm] without [gemm] is
+    dropped (there are no GEMV calls to stack), and [num_domains < 1] is
+    clamped to 1. A [schedule] is sanitized ({!Schedule.sanitize}: tile
+    targets < 1 dropped with a warning) and warned about when its tile
+    entries are dead without the tile pass (tile targets that divide no
+    section are diagnosed later by the tile pass, which knows the
+    extents). *)
 
 val describe : t -> string
-(** The flag summary (["gemm+tiling+..."]); appends
-    ["+sched@<digest>"] when a non-empty [schedule] is set, so every
-    distinct schedule yields a distinct compile-cache key. *)
+(** The pass list joined by ["+"] (["none"] when empty); appends the
+    precision unless f32, and ["+sched@<digest>"] when a non-empty
+    [schedule] is set, so every distinct schedule yields a distinct
+    compile-cache key. *)

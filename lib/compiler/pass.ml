@@ -7,7 +7,7 @@ type piece =
   | Hoisted of { unit_ : Synthesis.unit_code; segments : Pattern_match.segment list }
 
 type state = {
-  config : Config.t;  (* Normalized; pass enablement mirrors its flags. *)
+  config : Config.t;  (* Normalized; its [passes] are the ones that run. *)
   net : Net.t;
   batch : int;
   seed : int option;
@@ -31,7 +31,6 @@ type info = {
   description : string;
   paper : string;  (* Paper section implemented, e.g. "§5.4.1". *)
   required : bool;  (* Structural pass; cannot be disabled. *)
-  default_on : Config.t -> bool;
   run : state -> state;
 }
 

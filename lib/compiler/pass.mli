@@ -42,7 +42,8 @@ type info = {
   description : string;
   paper : string;
   required : bool;
-  default_on : Config.t -> bool;
+      (** Structural: always runs. An optional pass runs when its name
+          is in [Config.passes]. *)
   run : state -> state;
 }
 

@@ -1,6 +1,6 @@
 (* The instrumented pass manager: the ordered registry of compiler
-   passes, Config.t <-> pass-set resolution, and the driver that runs
-   the pipeline with per-pass timing, IR statistics, optional
+   passes, the --passes grammar over Config.passes, and the driver that
+   runs the pipeline with per-pass timing, IR statistics, optional
    well-formedness verification and IR dumps. *)
 
 open Pass
@@ -298,7 +298,6 @@ let registry : Pass.info list =
          alias their source buffer (realized during buffer planning in \
          synthesize)";
       required = false;
-      default_on = (fun c -> c.Config.inplace_activation);
       run = Fun.id;
     };
     {
@@ -308,7 +307,6 @@ let registry : Pass.info list =
         "loop-nest synthesis: AoS→SoA kernel rewriting, shared-variable \
          analysis, data-copy tasks, buffer planning";
       required = true;
-      default_on = (fun _ -> true);
       run = synthesize;
     };
     {
@@ -316,7 +314,6 @@ let registry : Pass.info list =
       paper = "§5.4.1";
       description = "rewrite dot-product loop nests into GEMM library calls";
       required = false;
-      default_on = (fun c -> c.Config.pattern_match);
       run = gemm_match;
     };
     {
@@ -325,7 +322,6 @@ let registry : Pass.info list =
       description =
         "hoist per-item GEMV/rank-1 calls into whole-batch GEMM sections";
       required = false;
-      default_on = (fun c -> c.Config.batch_gemm);
       run = batch_gemm;
     };
     {
@@ -335,7 +331,6 @@ let registry : Pass.info list =
         "group adjacent units whose connection windows tile exactly, so they \
          share one tile loop";
       required = false;
-      default_on = (fun c -> c.Config.fusion);
       run = fuse;
     };
     {
@@ -345,7 +340,6 @@ let registry : Pass.info list =
         "plan row-band tiling of each group's anchor y dimension, scaling \
          producer tiles by dependence distances";
       required = false;
-      default_on = (fun c -> c.Config.tiling);
       run = tile;
     };
     {
@@ -355,7 +349,6 @@ let registry : Pass.info list =
         "emit executable sections: batch loops, tile loops with restricted \
          unit bodies, hoisted batch-GEMM segments, zero-gradient prologue";
       required = true;
-      default_on = (fun _ -> true);
       run = assemble;
     };
     {
@@ -365,7 +358,6 @@ let registry : Pass.info list =
         "post-assembly cleanup: constant folding, dead/empty loop removal, \
          unit-stride loop innermost in each perfect loop band";
       required = false;
-      default_on = (fun _ -> true);
       run = simplify;
     };
     {
@@ -373,7 +365,6 @@ let registry : Pass.info list =
       paper = "§5.4.3";
       description = "annotate batch and tile loops for batch×tile parallelism";
       required = false;
-      default_on = (fun c -> c.Config.parallelize);
       run = parallelize;
     };
   ]
@@ -394,69 +385,36 @@ let validate name =
          (String.concat ", " (pass_names ())))
 
 (* ------------------------------------------------------------------ *)
-(* Config <-> pass-set resolution                                      *)
+(* The --passes grammar                                                *)
 (* ------------------------------------------------------------------ *)
-
-let set_of_config ~simplify config =
-  List.filter_map
-    (fun (p : Pass.info) ->
-      if p.required then None
-      else if p.name = "simplify" then if simplify then Some p.name else None
-      else if p.default_on config then Some p.name
-      else None)
-    registry
-
-let config_of_set base set =
-  let mem n = List.mem n set in
-  {
-    base with
-    Config.inplace_activation = mem "layout";
-    pattern_match = mem "gemm";
-    batch_gemm = mem "batch-gemm";
-    fusion = mem "fuse";
-    tiling = mem "tile";
-    parallelize = mem "parallelize";
-  }
 
 let parse_spec s =
   String.split_on_char ',' s
   |> List.map String.trim
   |> List.filter (fun e -> e <> "")
 
-let interpret ~defaults entries =
+(* "all", "none", an exact list, or +name/-name edits of
+   [config.passes]; the result is in registry order, so equal sets
+   describe equally. *)
+let edit entries config =
   let signed e = String.length e > 1 && (e.[0] = '-' || e.[0] = '+') in
-  match entries with
-  | [ "all" ] -> optional_pass_names ()
-  | [ "none" ] -> []
-  | entries when List.for_all signed entries ->
-      List.fold_left
-        (fun set e ->
-          let n = String.sub e 1 (String.length e - 1) in
-          validate n;
-          if e.[0] = '-' then List.filter (( <> ) n) set
-          else if List.mem n set then set
-          else set @ [ n ])
-        defaults entries
-  | entries ->
-      List.iter validate entries;
-      List.sort_uniq String.compare entries
-
-(* Resolve the enabled-pass set and the matching normalized config.
-   [passes] (the CLI's --passes=LIST) overrides the config-derived
-   defaults: "all", "none", an exact comma list, or +name/-name edits
-   of the defaults. *)
-let resolve ?passes config =
-  match passes with
-  | None ->
-      let config, warns = Config.normalize config in
-      (set_of_config ~simplify:true config, config, warns)
-  | Some entries ->
-      let base, _ = Config.normalize config in
-      let defaults = set_of_config ~simplify:true base in
-      let set = interpret ~defaults entries in
-      let simplify = List.mem "simplify" set in
-      let cfg, warns = Config.normalize (config_of_set config set) in
-      (set_of_config ~simplify cfg, cfg, warns)
+  let set =
+    match entries with
+    | [ "all" ] -> optional_pass_names ()
+    | [ "none" ] -> []
+    | entries when List.for_all signed entries ->
+        List.fold_left
+          (fun set e ->
+            let n = String.sub e 1 (String.length e - 1) in
+            validate n;
+            if e.[0] = '-' then List.filter (( <> ) n) set else n :: set)
+          config.Config.passes entries
+    | entries ->
+        List.iter validate entries;
+        entries
+  in
+  let passes = List.filter (fun n -> List.mem n set) (optional_pass_names ()) in
+  { config with Config.passes }
 
 (* ------------------------------------------------------------------ *)
 (* The instrumented driver                                             *)
@@ -506,9 +464,10 @@ let () =
                 (List.map Ir_bounds.finding_to_string findings)))
     | _ -> None)
 
-let run ?seed ?passes ?(verify = false) ?(dump_after = []) config net =
+let run ?seed ?(verify = false) ?(dump_after = []) config net =
+  List.iter validate config.Config.passes;
   List.iter validate (List.filter (( <> ) "all") dump_after);
-  let enabled, config, warnings = resolve ?passes config in
+  let config, warnings = Config.normalize config in
   List.iter (fun w -> Printf.eprintf "latte: warning: %s\n%!" w) warnings;
   let sched_src =
     match config.Config.schedule with
@@ -522,7 +481,7 @@ let run ?seed ?passes ?(verify = false) ?(dump_after = []) config net =
   let st, outcomes_rev =
     List.fold_left
       (fun (st, acc) (p : Pass.info) ->
-        let on = p.required || List.mem p.name enabled in
+        let on = p.required || Config.enabled p.name config in
         let t0 = Unix.gettimeofday () in
         let st = if on then p.run st else st in
         let seconds = Unix.gettimeofday () -. t0 in

@@ -1,10 +1,10 @@
 (** The compiler's pass registry and instrumented driver.
 
     Every optimization phase is a named pass over {!Pass.state}. The
-    registry fixes the execution order; which optional passes run is
-    derived from {!Config.t} flags (or overridden with an explicit pass
-    list, the CLI's [--passes]). The driver records per-pass wall time
-    and IR statistics, can dump the IR after any pass, and can run the
+    registry fixes the execution order; the optional passes that run are
+    the ones named in {!Config.passes} ({!edit} applies the CLI's
+    [--passes] to it). The driver records per-pass wall time and IR
+    statistics, can dump the IR after any pass, and can run the
     {!Ir_verify} well-formedness checker after every pass. *)
 
 val passes : unit -> Pass.info list
@@ -13,18 +13,18 @@ val passes : unit -> Pass.info list
 val pass_names : unit -> string list
 
 val optional_pass_names : unit -> string list
-(** Names of the passes that can be disabled. *)
+(** Names of the passes that can be disabled, in registry order. *)
 
 val parse_spec : string -> string list
 (** Split a comma-separated [--passes] spec into entries. *)
 
-val resolve : ?passes:string list -> Config.t -> string list * Config.t * string list
-(** [resolve ?passes config] is [(enabled, config', warnings)]: the
-    optional passes that will run, the normalized config they mirror,
-    and any {!Config.normalize} warnings. [passes] entries are either
+val edit : string list -> Config.t -> Config.t
+(** [edit entries config] sets [config.passes] from [--passes] entries:
     ["all"], ["none"], an exact list of pass names, or [+name]/[-name]
-    edits applied to the config-derived defaults. Raises
-    [Invalid_argument] on unknown pass names. *)
+    edits of [config.passes]. The result lists optional passes only, in
+    registry order, so equal sets describe equally; it is not
+    normalized ({!run} does that). Raises [Invalid_argument] on unknown
+    pass names. *)
 
 type outcome = {
   info : Pass.info;
@@ -73,12 +73,14 @@ exception Analysis_failed of string * Ir_bounds.finding list
 
 val run :
   ?seed:int ->
-  ?passes:string list ->
   ?verify:bool ->
   ?dump_after:string list ->
   Config.t ->
   Net.t ->
   Program.t * report
-(** Compile [net] through the pipeline. [dump_after] names passes whose
-    post-pass IR should be captured in the report (["all"] for every
-    enabled pass). Normalization warnings are printed to stderr. *)
+(** Compile [net] through the pipeline: the required passes and those
+    in the {!Config.normalize}d [config.passes]. [dump_after] names
+    passes whose post-pass IR should be captured in the report
+    (["all"] for every enabled pass). Normalization warnings are
+    printed to stderr. Raises [Invalid_argument] on an unknown name in
+    [config.passes] or [dump_after]. *)

@@ -786,11 +786,11 @@ let run ?(seed = 42) (config : Config.t) net =
     let ens = e.name in
     let conns = conn_infos net e in
     (* In-place activation decision: identity access, single consumer of
-       the source, and the optimization enabled. *)
+       the source, and the layout pass enabled. *)
     let inplace =
       match (e.kind, Array.to_list conns) with
       | Ensemble.Activation _, [ ci ] ->
-          config.inplace_activation
+          Config.enabled "layout" config
           && ci.mode = Layout.Alias_identity
           && (not (List.mem ci.src.Ensemble.name recurrent_sources))
           && (not (backward_reads_value ci.src))

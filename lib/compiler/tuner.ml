@@ -111,6 +111,10 @@ let cache_key config prog =
     ~machine:(Tune_cache.machine_id ())
     ~safety:(if config.Config.bounds_checks then "guard" else "unsafe")
     ~precision:(Precision.preset_to_string config.Config.precision)
+    ~passes:
+      (String.concat ","
+         (List.sort_uniq String.compare
+            (fst (Config.normalize config)).Config.passes))
 
 let tune ?(budget = Medium) ?(seed = 1) ?max_domains ?(use_cache = true)
     ?cache_dir ?(force = false) ?(machine = Machine.xeon_e5_2699v3_1core)
@@ -213,7 +217,7 @@ let tune ?(budget = Medium) ?(seed = 1) ?max_domains ?(use_cache = true)
           groups
       in
       let fuse_candidates =
-        if not config.Config.fusion then []
+        if not (Config.enabled "fuse" config) then []
         else
           List.filter_map
             (fun (label, _, _) ->

@@ -8,6 +8,16 @@ let rec is_free_of v e =
   | Imin (a, b) | Imax (a, b) ->
       is_free_of v a && is_free_of v b
 
+module SS = Set.Make (String)
+
+let rec ivars acc e =
+  match e with
+  | Iconst _ -> acc
+  | Ivar v -> SS.add v acc
+  | Iadd (a, b) | Isub (a, b) | Imul (a, b) | Idiv (a, b) | Imod (a, b)
+  | Imin (a, b) | Imax (a, b) ->
+      ivars (ivars acc a) b
+
 let rec cond_free_of v c =
   match c with
   | Icmp (_, a, b) -> is_free_of v a && is_free_of v b

@@ -10,6 +10,9 @@ val is_free_of : string -> Ir.iexpr -> bool
 
 val fexpr_free_of : string -> Ir.fexpr -> bool
 
+val ivars : Set.Make(String).t -> Ir.iexpr -> Set.Make(String).t
+(** [ivars acc e] adds the loop variables [e] mentions to [acc]. *)
+
 val stride_of : var:string -> Ir.iexpr -> int option
 (** The constant coefficient of [var] when the expression is affine in
     it; [None] when non-affine (e.g. [var] under division). *)

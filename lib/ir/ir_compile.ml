@@ -719,14 +719,6 @@ let compile_fast_loop ctx (l : loop) =
 
 module SS = Set.Make (String)
 
-let rec par_ivars acc e =
-  match e with
-  | Iconst _ -> acc
-  | Ivar v -> SS.add v acc
-  | Iadd (a, b) | Isub (a, b) | Imul (a, b) | Idiv (a, b) | Imod (a, b)
-  | Imin (a, b) | Imax (a, b) ->
-      par_ivars (par_ivars acc a) b
-
 (* Same evidence the verifier accepts that [e] differs across iterations
    of the loop over [v]: a nonzero affine stride in [v], or a mention of
    an inner variable whose bounds depend on [v] (tiling encodes
@@ -735,7 +727,7 @@ let par_varies ~v ~dep e =
   (match Ir_analysis.stride_of ~var:v e with
   | Some n when n <> 0 -> true
   | _ -> false)
-  || SS.exists (fun x -> SS.mem x dep) (par_ivars SS.empty e)
+  || SS.exists (fun x -> SS.mem x dep) (Ir_analysis.ivars SS.empty e)
 
 (* The strong form: a nonzero affine stride in [v] itself. Accumulations
    run in parallel only under this rule — bounds-mediated evidence keeps
@@ -902,7 +894,9 @@ let partition_parallel ctx benv (l : loop) =
         in
         (shell par_reads (pt, pe), shell seq_reads (st, se))
     | For inner ->
-        let bvars = par_ivars (par_ivars SS.empty inner.lo) inner.hi in
+        let bvars =
+          Ir_analysis.ivars (Ir_analysis.ivars SS.empty inner.lo) inner.hi
+        in
         let dep =
           if SS.mem v bvars || SS.exists (fun x -> SS.mem x dep) bvars then
             SS.add inner.var dep

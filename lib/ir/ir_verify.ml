@@ -9,13 +9,7 @@ let to_string e =
 
 module SS = Set.Make (String)
 
-let rec ivars acc e =
-  match e with
-  | Iconst _ -> acc
-  | Ivar v -> SS.add v acc
-  | Iadd (a, b) | Isub (a, b) | Imul (a, b) | Idiv (a, b) | Imod (a, b)
-  | Imin (a, b) | Imax (a, b) ->
-      ivars (ivars acc a) b
+let ivars = Ir_analysis.ivars
 
 let rec fvars acc e =
   match e with
@@ -68,9 +62,7 @@ let verify_stmts ?(bound = []) ~shape_of ~region stmts =
                 "buffer `%s' indexed with arity %d but has rank %d (shape %s)"
                 buf (List.length idx) (Shape.rank shape) (Shape.to_string shape))
   in
-  let check_loads ~stmt value =
-    List.iter (fun (b, idx) -> check_buf ~stmt ~idx b) (loads value)
-  in
+  let check_loads ~stmt = List.iter (fun (b, idx) -> check_buf ~stmt ~idx b) in
   let check_gemm_tile ~stmt (g : gemm) =
     match g.gemm_tile with
     | None -> ()
@@ -116,7 +108,7 @@ let verify_stmts ?(bound = []) ~shape_of ~region stmts =
     | Store { buf; idx; value } | Accum { buf; idx; value; _ } ->
         check_bound ~stmt:s env (List.fold_left ivars (fvars SS.empty value) idx);
         check_buf ~stmt:s ~idx buf;
-        check_loads ~stmt:s value
+        check_loads ~stmt:s (loads value)
     | Memset { buf; _ } -> check_buf ~stmt:s buf
     | Gemm g ->
         check_bound ~stmt:s env
@@ -135,7 +127,7 @@ let verify_stmts ?(bound = []) ~shape_of ~region stmts =
     | Fusion_barrier _ -> ()
     | If (c, t, e) ->
         check_bound ~stmt:s env (cvars SS.empty c);
-        check_loads ~stmt:s (Select (c, Fconst 0.0, Fconst 0.0));
+        check_loads ~stmt:s (cond_loads c);
         List.iter (go env (Ir_bounds.assume c benv)) t;
         List.iter (go env (Ir_bounds.assume_not c benv)) e
     | For l ->

@@ -92,11 +92,11 @@ let find_model t name =
            (String.concat ", " t.order))
 
 (* The cache key fingerprints everything the prepared executors depend
-   on: model identity and version, every Config flag (describe covers
-   the optimization set; tile size, bounds checks and domain count are
-   appended), the Run_opts the fleet shares, and the version-derived
-   parameter seed — the Tensor-Comprehensions-style hash key that makes
-   repeat lookups instant. *)
+   on: model identity and version, the Config (describe covers the pass
+   list, precision and schedule; tile size, bounds checks and domain
+   count are appended), the Run_opts the fleet shares, and the
+   version-derived parameter seed — the Tensor-Comprehensions-style
+   hash key that makes repeat lookups instant. *)
 let key t name ~version =
   let m = find_model t name in
   let c = m.config in

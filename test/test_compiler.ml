@@ -322,7 +322,7 @@ let test_fusion_groups () =
   Alcotest.(check bool) "fc hoisted" true (List.mem "fc:batch-gemm" labels)
 
 let test_fusion_disabled () =
-  let labels = forward_labels (Config.with_flags ~fusion:false Config.default) in
+  let labels = forward_labels (Config.without [ "fuse" ] Config.default) in
   Alcotest.(check bool) "no fused label" true
     (not (List.exists (fun l -> contains ~sub:"+" l) labels))
 
@@ -343,7 +343,7 @@ let test_inplace_aliasing () =
     (Buffer_pool.physical pool "relu1.value");
   let prog2 =
     Pipeline.compile ~seed:1
-      (Config.with_flags ~inplace_activation:false Config.default)
+      (Config.without [ "layout" ] Config.default)
       (convnet ~batch:2)
   in
   Alcotest.(check string) "no alias when disabled" "relu1.value"

@@ -151,7 +151,7 @@ let test_grouped_configs_agree () =
         (Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-4) l0 l);
       Alcotest.(check bool) "grad agrees" true
         (Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-3) g0 g))
-    [ Config.unoptimized; Config.with_flags ~fusion:false Config.default ]
+    [ Config.unoptimized; Config.without [ "fuse" ] Config.default ]
 
 let suite =
   [

@@ -49,7 +49,9 @@ let test_optimized_model_faster () =
      unoptimized one — the Figure 13 direction. *)
   let t cfg = time_at Machine.xeon_e5_2699v3 (small_prog cfg) ~batch_mult:64.0 in
   let opt = t Config.default in
-  let unopt = t (Config.with_flags ~parallelize:true Config.unoptimized) in
+  let unopt =
+    t (Config.with_flags ~passes:[ "simplify"; "parallelize" ] Config.unoptimized)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "optimized %.2e < unoptimized %.2e" opt unopt)
     true (opt < unopt)

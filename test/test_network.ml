@@ -150,11 +150,11 @@ let config_variants =
   [
     ("default", Config.default);
     ("unoptimized", Config.unoptimized);
-    ("gemm only", Config.with_flags ~pattern_match:true Config.unoptimized);
-    ("no fusion", Config.with_flags ~fusion:false Config.default);
-    ("no tiling", Config.with_flags ~tiling:false ~fusion:false Config.default);
-    ("no hoist", Config.with_flags ~batch_gemm:false Config.default);
-    ("no inplace", Config.with_flags ~inplace_activation:false Config.default);
+    ("gemm only", Config.with_flags ~passes:[ "gemm"; "simplify" ] Config.unoptimized);
+    ("no fusion", Config.without [ "fuse" ] Config.default);
+    ("no tiling", Config.without [ "tile"; "fuse" ] Config.default);
+    ("no hoist", Config.without [ "batch-gemm" ] Config.default);
+    ("no inplace", Config.without [ "layout" ] Config.default);
     ("tile 1", Config.with_flags ~tile_size:1 Config.default);
     ("tile 8", Config.with_flags ~tile_size:8 Config.default);
   ]

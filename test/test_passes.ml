@@ -66,10 +66,12 @@ let random_mlp seed =
   in
   { fresh; batch; n_classes; out_buf = "fc.value" }
 
-(* Compile under [passes], run one forward+backward on fixed data, and
-   capture output activations, loss and every parameter gradient. *)
-let run_once (b : built) passes =
-  let prog, _report = Pass_manager.run ~seed:3 ~passes Config.default (b.fresh ()) in
+(* Compile under the [--passes] entries, run one forward+backward on
+   fixed data, and capture output activations, loss and every parameter
+   gradient. *)
+let run_once (b : built) entries =
+  let config = Pass_manager.edit entries Config.default in
+  let prog, _report = Pass_manager.run ~seed:3 config (b.fresh ()) in
   let exec = Executor.prepare prog in
   Test_util.fill_inputs exec ~batch:b.batch ~n_classes:b.n_classes;
   Executor.forward exec;
@@ -116,30 +118,60 @@ let differential (b : built) () =
 (* ------------------------------------------------------------------ *)
 
 let test_resolve () =
-  let enabled passes =
-    let e, _, _ = Pass_manager.resolve ~passes Config.default in
-    e
-  in
+  let edited entries = Pass_manager.edit entries Config.default in
   Alcotest.(check (list string))
     "all = every optional pass"
     (Pass_manager.optional_pass_names ())
-    (enabled [ "all" ]);
-  Alcotest.(check (list string)) "none = empty" [] (enabled [ "none" ]);
-  let e = enabled [ "-tile" ] in
-  Alcotest.(check bool) "-tile drops tile" false (List.mem "tile" e);
+    (edited [ "all" ]).Config.passes;
+  Alcotest.(check (list string))
+    "none = empty" [] (edited [ "none" ]).Config.passes;
+  let cfg, _ = Config.normalize (edited [ "-tile" ]) in
+  Alcotest.(check bool) "-tile drops tile" false (Config.enabled "tile" cfg);
   Alcotest.(check bool) "-tile also drops fuse (normalized)" false
-    (List.mem "fuse" e);
-  Alcotest.(check bool) "-tile keeps gemm" true (List.mem "gemm" e);
-  let e, _, warns = Pass_manager.resolve ~passes:[ "fuse" ] Config.default in
+    (Config.enabled "fuse" cfg);
+  Alcotest.(check bool) "-tile keeps gemm" true (Config.enabled "gemm" cfg);
+  let cfg, warns = Config.normalize (edited [ "fuse" ]) in
   Alcotest.(check bool) "bare fuse is normalized away" false
-    (List.mem "fuse" e);
+    (Config.enabled "fuse" cfg);
   Alcotest.(check bool) "normalization warns" true
     (List.exists (fun w -> contains w "fusion requires tiling") warns);
-  Alcotest.check_raises "unknown pass name rejected"
-    (Invalid_argument
-       "unknown compiler pass `bogus' (known passes: layout, synthesize, \
-        gemm, batch-gemm, fuse, tile, assemble, simplify, parallelize)")
-    (fun () -> ignore (Pass_manager.resolve ~passes:[ "bogus" ] Config.default))
+  let unknown =
+    Invalid_argument
+      "unknown compiler pass `bogus' (known passes: layout, synthesize, \
+       gemm, batch-gemm, fuse, tile, assemble, simplify, parallelize)"
+  in
+  Alcotest.check_raises "unknown pass name rejected" unknown (fun () ->
+      ignore (edited [ "bogus" ]));
+  Alcotest.check_raises "run rejects it too" unknown (fun () ->
+      ignore
+        (Pass_manager.run
+           (Config.with_flags ~passes:[ "bogus" ] Config.default)
+           ((random_mlp 1).fresh ())))
+
+(* A pass added to the registry but not to the default fails here. *)
+let test_default_passes () =
+  Alcotest.(check (list string))
+    "default = every optional pass"
+    (Pass_manager.optional_pass_names ())
+    Config.default.Config.passes;
+  Alcotest.(check (list string))
+    "unoptimized = simplify" [ "simplify" ] Config.unoptimized.Config.passes
+
+let test_edit_order () =
+  Alcotest.(check (list string))
+    "+fuse returns to its registry slot" Config.default.Config.passes
+    (Pass_manager.edit [ "+fuse" ] (Config.without [ "fuse" ] Config.default))
+      .Config.passes;
+  let exact =
+    Pass_manager.edit [ "tile"; "parallelize"; "gemm"; "fuse" ] Config.default
+  in
+  Alcotest.(check (list string))
+    "exact list in registry order" [ "gemm"; "fuse"; "tile"; "parallelize" ]
+    exact.Config.passes;
+  Alcotest.(check string) "equal sets describe equally"
+    (Config.describe
+       (Pass_manager.edit [ "gemm"; "fuse"; "parallelize"; "tile" ] Config.default))
+    (Config.describe exact)
 
 let test_parse_spec () =
   Alcotest.(check (list string))
@@ -147,18 +179,16 @@ let test_parse_spec () =
     (Pass_manager.parse_spec "a, b,,c")
 
 let test_normalize () =
-  let cfg =
-    Config.with_flags ~fusion:true ~tiling:false Config.default
-  in
-  let cfg', warns = Config.normalize cfg in
-  Alcotest.(check bool) "fusion dropped" false cfg'.Config.fusion;
+  let cfg, warns = Config.normalize (Config.without [ "tile" ] Config.default) in
+  Alcotest.(check (list string))
+    "fuse dropped, the rest kept"
+    [ "layout"; "gemm"; "batch-gemm"; "simplify"; "parallelize" ]
+    cfg.Config.passes;
   Alcotest.(check bool) "warning emitted" true
     (List.exists (fun w -> contains w "fusion requires tiling") warns);
-  let cfg =
-    Config.with_flags ~batch_gemm:true ~pattern_match:false Config.default
-  in
-  let cfg', warns = Config.normalize cfg in
-  Alcotest.(check bool) "batch-gemm dropped" false cfg'.Config.batch_gemm;
+  let cfg, warns = Config.normalize (Config.without [ "gemm" ] Config.default) in
+  Alcotest.(check bool) "batch-gemm dropped" false
+    (Config.enabled "batch-gemm" cfg);
   Alcotest.(check bool) "batch-gemm warning" true
     (List.exists (fun w -> contains w "batch-GEMM") warns);
   let _, warns = Config.normalize Config.default in
@@ -231,6 +261,8 @@ let suite =
     Alcotest.test_case "differential: random mlp" `Quick
       (differential (random_mlp 13));
     Alcotest.test_case "pass-set resolution" `Quick test_resolve;
+    Alcotest.test_case "default pass list" `Quick test_default_passes;
+    Alcotest.test_case "edit keeps registry order" `Quick test_edit_order;
     Alcotest.test_case "spec parsing" `Quick test_parse_spec;
     Alcotest.test_case "config normalization" `Quick test_normalize;
     Alcotest.test_case "bundled models verify" `Quick test_verified_models;

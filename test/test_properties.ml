@@ -94,10 +94,10 @@ let prop_configs_agree =
           && close ref_grad (Executor.lookup exec "conv0.weights.grad"))
         [
           Config.unoptimized;
-          Config.with_flags ~fusion:false Config.default;
-          Config.with_flags ~tiling:false ~fusion:false Config.default;
-          Config.with_flags ~batch_gemm:false Config.default;
-          Config.with_flags ~inplace_activation:false Config.default;
+          Config.without [ "fuse" ] Config.default;
+          Config.without [ "tile"; "fuse" ] Config.default;
+          Config.without [ "batch-gemm" ] Config.default;
+          Config.without [ "layout" ] Config.default;
           Config.with_flags ~tile_size:1 Config.default;
         ])
 

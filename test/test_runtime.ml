@@ -89,7 +89,7 @@ let test_memory_savings_from_aliasing () =
   let with_ = Pipeline.compile Config.default (build ()) in
   let without =
     Pipeline.compile
-      (Config.with_flags ~inplace_activation:false Config.default)
+      (Config.without [ "layout" ] Config.default)
       (build ())
   in
   Alcotest.(check bool) "in-place saves memory" true

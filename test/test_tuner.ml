@@ -134,7 +134,7 @@ let fresh_dir =
     d
 
 let sample_key = Tune_cache.key ~fingerprint:"fp" ~machine:"m" ~safety:"guard"
-    ~precision:"f32"
+    ~precision:"f32" ~passes:"gemm"
 
 let test_cache_roundtrip () =
   let dir = fresh_dir () in
@@ -146,7 +146,7 @@ let test_cache_roundtrip () =
   Alcotest.(check bool) "unknown key misses" true
     (Tune_cache.lookup ~dir
        ~key:(Tune_cache.key ~fingerprint:"other" ~machine:"m" ~safety:"guard"
-               ~precision:"f32")
+               ~precision:"f32" ~passes:"gemm")
     = None)
 
 let entry_path dir = Filename.concat dir (sample_key ^ ".tune")
@@ -336,6 +336,29 @@ let test_compile_pair_domains_pickup () =
       Alcotest.(check int) "prepare runs at the count it is given" 1
         (Executor.domains (Executor.prepare ~opts:one prog)))
 
+(* The pass set is part of the key: a schedule tuned without fusion is
+   not applied to a default compile. *)
+let test_cache_key_passes () =
+  let dir = fresh_dir () in
+  let prog = Pipeline.compile ~seed:1 Config.default (tiny_mlp ()) in
+  let no_fuse = Config.without [ "fuse" ] Config.default in
+  Tune_cache.store ~dir ~key:(Tuner.cache_key no_fuse prog) [ ("domains", "2") ];
+  Alcotest.(check string) "normalized: -tile and -tile,-fuse share a key"
+    (Tuner.cache_key (Config.without [ "tile"; "fuse" ] Config.default) prog)
+    (Tuner.cache_key (Config.without [ "tile" ] Config.default) prog);
+  let one = Executor.Run_opts.with_domains 1 Executor.Run_opts.default in
+  Unix.putenv "LATTE_TUNE_CACHE" dir;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "LATTE_TUNE_CACHE" "off")
+    (fun () ->
+      let fast, _ =
+        Pipeline.compile_pair ~seed:1 ~opts:one Config.default tiny_mlp
+      in
+      Alcotest.(check int) "default compile misses the -fuse entry" 1
+        (Executor.domains fast);
+      let fast, _ = Pipeline.compile_pair ~seed:1 ~opts:one no_fuse tiny_mlp in
+      Alcotest.(check int) "a -fuse compile hits it" 2 (Executor.domains fast))
+
 (* A schedule's domain count is a run-time choice: the compiled IR is
    the same whatever count it names. *)
 let test_schedule_domains_keep_ir () =
@@ -473,6 +496,8 @@ let suite =
       test_compile_pair_pickup;
     Alcotest.test_case "compile_pair: cached-domains pickup" `Quick
       test_compile_pair_domains_pickup;
+    Alcotest.test_case "compile_pair: pass set keys the cache" `Quick
+      test_cache_key_passes;
     Alcotest.test_case "schedule: domains leave the IR alone" `Quick
       test_schedule_domains_keep_ir;
     Alcotest.test_case "report: schedule source" `Quick

@@ -1,9 +1,9 @@
 (* Accuracy-vs-throughput across the precision presets: every stock
-   model forwarded under f32, f16 (packed activation storage) and int8
-   (post-training quantized params + activations), reporting forward
-   time, storage footprint and output fidelity against the f32 run on
-   identical inputs. Also writes a JSON artifact (one object per
-   model/preset row) for CI trend tracking. *)
+   model forwarded under f32 and int8 (post-training quantized params
+   and activations), reporting forward time, storage footprint and
+   output fidelity against the f32 run on identical inputs. Also writes
+   a JSON artifact (one object per model/preset row) for CI trend
+   tracking. *)
 
 let scale = Bench_common.bench_scale
 
@@ -95,7 +95,6 @@ type row = {
 let time_fwd exec = Executor.time_forward ~warmup:1 ~iters:9 exec
 
 let run_model name build =
-  let rows = ref [] in
   (* f32 baseline *)
   let spec = build () in
   let prog32 = Pipeline.compile ~seed:1 Config.default spec.Models.net in
@@ -104,30 +103,10 @@ let run_model name build =
   let base = argmaxes exec32 outs32 in
   let t32 = time_fwd exec32 in
   let b32 = Buffer_pool.total_bytes prog32.Program.buffers in
-  rows :=
-    [ { preset = "f32"; fwd_ms = t32 *. 1e3; bytes = b32; packed = 0;
-        agree_pct = 100; maxd = 0.0 } ];
-  (* f16: fresh compile under the mixed-precision preset *)
-  let spec16 = build () in
-  let cfg16 = Config.with_flags ~precision:`F16 Config.default in
-  let prog16 = Pipeline.compile ~seed:1 cfg16 spec16.Models.net in
-  let exec16 = Executor.prepare prog16 in
-  let pool16 = prog16.Program.buffers in
-  let packed16 =
-    List.length
-      (List.filter
-         (fun b ->
-           (not (Buffer_pool.is_f32 pool16 b))
-           && String.equal (Buffer_pool.physical pool16 b) b)
-         (Buffer_pool.names pool16))
+  let f32 =
+    { preset = "f32"; fwd_ms = t32 *. 1e3; bytes = b32; packed = 0;
+      agree_pct = 100; maxd = 0.0 }
   in
-  let outs16 = eval_outputs exec16 spec16 in
-  rows :=
-    { preset = "f16"; fwd_ms = time_fwd exec16 *. 1e3;
-      bytes = Buffer_pool.total_bytes pool16; packed = packed16;
-      agree_pct = fidelity ~base ~cand:(argmaxes exec16 outs16);
-      maxd = max_delta outs32 outs16 }
-    :: !rows;
   (* int8: compile f32, calibrate on the eval feed, quantize, re-prepare *)
   let spec8 = build () in
   let prog8 = Pipeline.compile ~seed:1 Config.default spec8.Models.net in
@@ -136,19 +115,17 @@ let run_model name build =
     [ spec8.Models.label_buf; spec8.Models.loss_buf;
       spec8.Models.output_ens ^ ".value" ]
   in
-  let packed8 =
-    Quantize.quantize ~exec:exec8 ~feed:(feed exec8 spec8) ~keep ~preset:`I8
-      prog8
+  let exec8, packed8 =
+    Quantize.quantize ~feed:(feed exec8 spec8) ~keep exec8
   in
-  let exec8 = if packed8 > 0 then Executor.prepare prog8 else exec8 in
   let outs8 = eval_outputs exec8 spec8 in
-  rows :=
+  let int8 =
     { preset = "int8"; fwd_ms = time_fwd exec8 *. 1e3;
       bytes = Buffer_pool.total_bytes prog8.Program.buffers; packed = packed8;
       agree_pct = fidelity ~base ~cand:(argmaxes exec8 outs8);
       maxd = max_delta outs32 outs8 }
-    :: !rows;
-  (name, t32, List.rev !rows)
+  in
+  (name, t32, [ f32; int8 ])
 
 let json_row name (r : row) =
   Printf.sprintf

@@ -90,14 +90,13 @@ let config_term =
                      (default: the LATTE_DOMAINS environment variable, else \
                      1). Outputs are bit-identical at any count.")
     $ Arg.(value
-           & opt (some (enum [ ("f32", `F32); ("f16", `F16); ("int8", `I8) ])) None
+           & opt (some (enum [ ("f32", `F32); ("int8", `I8) ])) None
            & info [ "precision" ] ~docv:"P"
-               ~doc:"Execution precision preset: $(b,f32) (reference), \
-                     $(b,f16) (activations stored as binary16, f32 \
-                     accumulation), $(b,int8) (post-training quantized \
-                     storage with int32 accumulation; calibrated where the \
-                     command has data). Default: the LATTE_PRECISION \
-                     environment variable, else f32.")
+               ~doc:"Execution precision preset: $(b,f32) (reference) or \
+                     $(b,int8) (post-training quantized storage with int32 \
+                     accumulation; calibrated where the command has data). \
+                     Default: the LATTE_PRECISION environment variable, \
+                     else f32.")
     $ Arg.(value & opt (some string) None
            & info [ "passes" ] ~docv:"LIST"
                ~doc:"The optional compiler passes to run. LIST is \
@@ -450,17 +449,6 @@ let train model size config verify iters lr faults_spec ckpt_dir =
   Printf.printf "held-out top-1 accuracy: %.1f%%\n" (acc *. 100.0);
   match config.Config.precision with
   | `F32 -> ()
-  | `F16 ->
-      (* Pipeline.compile already packed the f16 plan — training above
-         ran with binary16 activation storage; just surface the count. *)
-      let pool = prog.Program.buffers in
-      let packed =
-        List.filter
-          (fun b -> not (Buffer_pool.is_f32 pool b))
-          (Buffer_pool.names pool)
-      in
-      Printf.printf "mixed precision: %d buffer(s) held in f16 storage\n"
-        (List.length packed)
   | `I8 ->
       (* Post-training quantization: calibrate on training batches, pack
          params + activations, re-prepare, re-evaluate. The eval-facing
@@ -474,10 +462,7 @@ let train model size config verify iters lr faults_spec ckpt_dir =
       let keep =
         [ data_buf; spec.Models.label_buf; spec.Models.loss_buf; output_buf ]
       in
-      let n = Quantize.quantize ~exec ~feed ~keep ~preset:`I8 prog in
-      let exec =
-        if n > 0 then Executor.prepare ~opts:(run_opts_of config) prog else exec
-      in
+      let exec, n = Quantize.quantize ~feed ~keep exec in
       let qacc =
         Training.accuracy ~exec ~data:eval_set ~data_buf
           ~label_buf:spec.Models.label_buf ~output_buf
@@ -849,9 +834,6 @@ let bench model size config verify =
   if Executor.domains exec > 1 then
     Printf.printf "executing parallel loops on %d domains\n"
       (Executor.domains exec);
-  (match config.Config.precision with
-  | `F32 | `I8 -> ()
-  | `F16 -> Printf.printf "precision: f16 activation storage\n");
   let rng = Rng.create 7 in
   List.iter
     (fun (e : Ensemble.t) ->
@@ -882,7 +864,7 @@ let bench model size config verify =
      baseline on the same inputs), re-prepare, and report the quantized
      forward against it — throughput and top-1 agreement. *)
   match config.Config.precision with
-  | `F32 | `F16 -> ()
+  | `F32 -> ()
   | `I8 ->
       let output_buf = spec.Models.output_ens ^ ".value" in
       Executor.forward exec;
@@ -890,12 +872,8 @@ let bench model size config verify =
         Tensor.copy (Executor.read_f32 exec output_buf)
       in
       let keep = [ spec.Models.label_buf; spec.Models.loss_buf; output_buf ] in
-      let n =
-        Quantize.quantize ~exec ~feed:(fun _ -> ()) ~batches:1 ~keep
-          ~preset:`I8 prog
-      in
-      let exec =
-        if n > 0 then Executor.prepare ~opts:(run_opts_of config) prog else exec
+      let exec, n =
+        Quantize.quantize ~feed:(fun _ -> ()) ~batches:1 ~keep exec
       in
       Executor.forward exec;
       let out_q = Executor.read_f32 exec output_buf in
@@ -986,10 +964,6 @@ let tune_run model size config budget seed max_domains no_cache cache_dir force
   end
 
 let tune_cmd =
-  let model_pos =
-    let doc = "Model architecture: " ^ String.concat ", " model_names ^ "." in
-    Arg.(value & pos 0 string "lenet" & info [] ~docv:"MODEL" ~doc)
-  in
   let budget_arg =
     Arg.(value & opt string "medium"
          & info [ "budget" ] ~docv:"B"
@@ -1036,7 +1010,7 @@ let tune_cmd =
              where compile_pair and the serving registry pick it up \
              automatically. Tuned outputs are bit-identical to the default \
              schedule's.")
-    Term.(const tune_run $ model_pos $ size_term $ config_term $ budget_arg
+    Term.(const tune_run $ model_arg $ size_term $ config_term $ budget_arg
           $ seed_arg $ max_domains_arg $ no_cache_arg $ cache_arg $ force_arg
           $ quiet_arg)
 

@@ -26,9 +26,8 @@ type t = {
           at any count. *)
   precision : Precision.preset;
       (** Execution precision (the CLI's [--precision]): [`F32] is the
-          classic pipeline; [`F16] packs activations to half storage
-          with f32 accumulation; [`I8] post-training-quantizes weights
-          and activations to int8 after calibration. [default] reads
+          classic pipeline; [`I8] post-training-quantizes weights and
+          activations to int8 after calibration. [default] reads
           [LATTE_PRECISION] (missing or malformed means [`F32]);
           [unoptimized] is always [`F32]. *)
   schedule : Schedule.t option;

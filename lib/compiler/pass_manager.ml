@@ -516,18 +516,6 @@ let run ?seed ?(verify = false) ?(dump_after = []) config net =
       registry
   in
   let prog = Pass.finish st in
-  (* The f16 preset is static — activations pack to half storage with
-     identity qparams, no calibration needed — so it applies at compile
-     time, whichever driver ran the passes. The int8 preset needs
-     calibration data and is applied post-training by the caller
-     (Quantize.quantize at serving/eval time). *)
-  (match config.Config.precision with
-  | `F16 ->
-      ignore
-        (Quantize.apply prog
-           ~kind:(Precision.Any Precision.F16)
-           (List.map (fun b -> (b, 0.0)) (Quantize.f16_candidates prog)))
-  | `F32 | `I8 -> ());
   ( prog,
     {
       outcomes = List.rev outcomes_rev;

@@ -56,12 +56,10 @@ let fill ~seed net exec =
   List.iter
     (fun (e : Ensemble.t) ->
       match e.Ensemble.kind with
-      | Ensemble.Data -> (
-          (* lookup_opt: a buffer packed to a narrow precision (f16
-             plans) stays at its deterministic zero fill. *)
-          match Executor.lookup_opt exec (e.Ensemble.name ^ ".value") with
-          | Some t -> Tensor.fill_uniform rng t ~lo:0.0 ~hi:1.0
-          | None -> ())
+      | Ensemble.Data ->
+          Tensor.fill_uniform rng
+            (Executor.lookup exec (e.Ensemble.name ^ ".value"))
+            ~lo:0.0 ~hi:1.0
       | _ -> ())
     (Net.ensembles net);
   match Executor.lookup_opt exec "label" with

@@ -764,7 +764,7 @@ let flow_check (fl : flow) regions =
 (* ------------------------------------------------------------------ *)
 
 let narrow_accum_check storage_of regions =
-  (* Every [Accum] into a packed (int8 / f16) buffer decodes, adds in
+  (* Every [Accum] into a packed (int8) buffer decodes, adds in
      f32, then re-encodes — one rounding per partial update, so the
      error grows with the reduction depth instead of staying at half an
      ulp of the final value. Flag each such buffer once; the fix is to

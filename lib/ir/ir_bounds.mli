@@ -84,7 +84,7 @@ type kind =
   | Use_before_init  (** Read of a buffer with no earlier overwrite. *)
   | Dead_store  (** Buffer written but never read and not live-out. *)
   | Narrow_accum
-      (** Accumulation into sub-f32 (int8/f16) storage: each partial
+      (** Accumulation into sub-f32 (int8) storage: each partial
           update re-rounds through the narrow encoding. *)
 
 type finding = {

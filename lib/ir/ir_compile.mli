@@ -10,7 +10,7 @@
     copy, strided copy, saxpy/FMA, dot-product reduction, ReLU map,
     max-accumulate, ...), which is the moral equivalent of the
     vectorization pragmas Latte attaches for the C++ compiler. Packed
-    (int8/f16) innermost loops run in the same strided compiler, loading
+    (int8) innermost loops run in the same strided compiler, loading
     through the store's reader and storing through its writer; only
     unproven or non-strided loops take the per-node closure path.
 
@@ -111,7 +111,7 @@ val compile :
     [Guard_unproven].
 
     [store_of] resolves buffers precision-aware (it defaults to wrapping
-    [lookup] as f32). A packed (int8/f16) operand decodes on load
+    [lookup] as f32). A packed (int8) operand decodes on load
     through the store's reader and encodes on store through its writer.
     Proven strided innermost loops over packed buffers run in the same
     strided compiler as f32 loops, which keeps its specialized kernels

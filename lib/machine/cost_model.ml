@@ -134,8 +134,8 @@ let estimate_sections ?vectorized ?replicate ?width_of m ~buf_bytes sections =
   }
 
 let buf_bytes_of (p : Program.t) name =
-  (* Real storage bytes at the buffer's declared width, so packed (int8
-     / f16) buffers cost a quarter / half of the f32 traffic. *)
+  (* Real storage bytes at the buffer's declared width, so packed int8
+     buffers cost a quarter of the f32 traffic. *)
   float_of_int
     (Buffer_pool.elem_bytes p.Program.buffers name
     * Shape.numel (Buffer_pool.shape p.Program.buffers name))

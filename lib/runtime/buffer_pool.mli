@@ -10,7 +10,7 @@
     Every buffer carries a storage precision ({!Tensor.store}). The
     default pipeline allocates f32 and the classic {!lookup}/{!alloc}
     API is unchanged for it; quantized executions repack selected
-    physical blocks to int8/f16 ({!repack}) and access them through
+    physical blocks to int8 ({!repack}) and access them through
     {!store}. *)
 
 type t

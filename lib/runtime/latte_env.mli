@@ -18,7 +18,7 @@ val parse_domains : string option -> int
     malformed, or [< 1] means 1. *)
 
 val parse_precision : string option -> Precision.preset
-(** [LATTE_PRECISION]: execution precision preset ([f32]/[f16]/[int8]).
+(** [LATTE_PRECISION]: execution precision preset ([f32]/[int8]).
     Missing or malformed means [`F32]. *)
 
 val parse_tune_cache : string option -> tune_cache

@@ -55,18 +55,13 @@ let fingerprint t =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The execution precision this program's buffers are packed at, in
-   Precision.preset_to_string spelling: "int8" when any buffer is int8,
-   else "f16" when any is half, else "f32". Part of the tuning-cache
-   key so schedules tuned at one precision never leak into another. *)
+   Precision.preset_to_string spelling: "int8" when any buffer is
+   packed, else "f32". Part of the tuning-cache key so schedules tuned
+   at one precision never leak into another. *)
 let precision_tag t =
-  List.fold_left
-    (fun tag name ->
-      match Buffer_pool.precision t.buffers name with
-      | Precision.Any Precision.I8 -> "int8"
-      | Precision.Any Precision.F16 -> if tag = "int8" then tag else "f16"
-      | _ -> tag)
-    "f32"
-    (Buffer_pool.names t.buffers)
+  let packed b = not (Buffer_pool.is_f32 t.buffers b) in
+  Precision.preset_to_string
+    (if List.exists packed (Buffer_pool.names t.buffers) then `I8 else `F32)
 
 let section_cost ?bytes_of ?width_of s =
   Ir_analysis.cost_of_stmts ?bytes_of ?width_of s.stmts

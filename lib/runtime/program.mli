@@ -51,7 +51,7 @@ val fingerprint : t -> string
 
 val precision_tag : t -> string
 (** The execution precision the program's buffers are packed at
-    (["f32"], ["f16"] or ["int8"]), matching
+    (["f32"] or ["int8"]), matching
     [Precision.preset_to_string]. *)
 
 val flops : t -> [ `Forward | `Backward ] -> float

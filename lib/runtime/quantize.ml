@@ -1,6 +1,6 @@
-(* Post-training quantization: pick the buffers that can change storage
-   precision, observe their dynamic ranges over calibration batches, and
-   repack them in place. The executor must be re-prepared afterwards —
+(* Post-training int8 quantization: pick the buffers that can change
+   storage precision, observe their dynamic ranges over calibration
+   batches, repack them in place, and re-prepare the executor, whose
    compiled sections resolve buffer stores eagerly. *)
 
 let extern_and_accsum (prog : Program.t) =
@@ -29,7 +29,7 @@ let extern_and_accsum (prog : Program.t) =
     (prog.forward @ prog.backward);
   (extern, accsum)
 
-let candidates ~params (prog : Program.t) ~keep =
+let int8_candidates ?(keep = []) (prog : Program.t) =
   let pool = prog.buffers in
   let phys b = Buffer_pool.physical pool b in
   let extern, accsum = extern_and_accsum prog in
@@ -46,14 +46,9 @@ let candidates ~params (prog : Program.t) ~keep =
          clothing (a real weight — [10; 64], [6; 1; 5; 5] — always has
          numel > its leading dimension). *)
       let sh = Buffer_pool.shape pool p.value_buf in
-      if
-        (not params) || Array.length sh < 2 || Shape.numel sh = sh.(0)
-      then ban p.value_buf)
+      if Array.length sh < 2 || Shape.numel sh = sh.(0) then ban p.value_buf)
     prog.params;
-  let param_vals =
-    if params then List.map (fun (p : Program.param) -> p.value_buf) prog.params
-    else []
-  in
+  let param_vals = List.map (fun (p : Program.param) -> p.value_buf) prog.params in
   let fwd_written =
     List.concat_map
       (fun (s : Program.section) -> Ir.buffers_written s.stmts)
@@ -72,9 +67,6 @@ let candidates ~params (prog : Program.t) ~keep =
       end)
     (param_vals @ fwd_written)
 
-let int8_candidates ?(keep = []) prog = candidates ~params:true prog ~keep
-let f16_candidates ?(keep = []) prog = candidates ~params:false prog ~keep
-
 let calibrate ~exec ~feed ?(batches = 4) bufs =
   let pool = (Executor.program exec).Program.buffers in
   let ranges = List.map (fun b -> (b, ref 0.0)) bufs in
@@ -89,7 +81,7 @@ let calibrate ~exec ~feed ?(batches = 4) bufs =
   done;
   List.map (fun (b, r) -> (b, !r)) ranges
 
-let apply (prog : Program.t) ~kind absmaxes =
+let apply (prog : Program.t) absmaxes =
   let pool = prog.buffers in
   let packed = Hashtbl.create 16 in
   List.fold_left
@@ -98,24 +90,15 @@ let apply (prog : Program.t) ~kind absmaxes =
       if Hashtbl.mem packed p || not (Buffer_pool.is_f32 pool b) then n
       else begin
         Hashtbl.replace packed p ();
-        let qparams =
-          match kind with
-          | Precision.Any Precision.I8 -> Precision.qparams_of_absmax a
-          | _ -> Precision.qid
-        in
-        Buffer_pool.repack pool b ~kind ~qparams;
+        Buffer_pool.repack pool b ~kind:(Precision.Any Precision.I8)
+          ~qparams:(Precision.qparams_of_absmax a);
         n + 1
       end)
     0 absmaxes
 
-let quantize ~exec ~feed ?batches ?(keep = []) ~preset (prog : Program.t) =
-  match preset with
-  | `F32 -> 0
-  | `F16 ->
-      let bufs = f16_candidates ~keep prog in
-      apply prog ~kind:(Precision.Any Precision.F16)
-        (List.map (fun b -> (b, 0.0)) bufs)
-  | `I8 ->
-      let bufs = int8_candidates ~keep prog in
-      let absmax = calibrate ~exec ~feed ?batches bufs in
-      apply prog ~kind:(Precision.Any Precision.I8) absmax
+let quantize ~feed ?batches ?keep exec =
+  let prog = Executor.program exec in
+  let absmax = calibrate ~exec ~feed ?batches (int8_candidates ?keep prog) in
+  match apply prog absmax with
+  | 0 -> (exec, 0)
+  | n -> (Executor.prepare ~opts:(Executor.run_opts exec) prog, n)

@@ -1,31 +1,29 @@
-(** Post-training quantization over a compiled program's buffer pool.
+(** Post-training int8 quantization over a compiled program's buffer
+    pool.
 
     The flow is plan → calibrate → apply → re-prepare:
 
     {ol
-    {- {!int8_candidates} / {!f16_candidates} pick the buffers whose
-       storage may narrow: matrix/tensor-shaped parameter values (int8
-       only) and activations written by forward sections — excluding
-       anything an [Extern] touches (externs need the raw f32 view),
-       anything sum-accumulated into (packed [Acc_sum] re-rounds every
-       partial update), gradient buffers, biases (rank < 2, or [n; 1]
-       columns), and the caller's [keep] list (inputs, labels, loss,
-       logits).}
+    {- {!int8_candidates} picks the buffers whose storage may narrow:
+       matrix/tensor-shaped parameter values and activations written by
+       forward sections — excluding anything an [Extern] touches
+       (externs need the raw f32 view), anything sum-accumulated into
+       (packed [Acc_sum] re-rounds every partial update), gradient
+       buffers, biases (rank < 2, or [n; 1] columns), and the caller's
+       [keep] list (inputs, labels, loss, logits).}
     {- {!calibrate} runs forward passes over calibration batches and
        records each candidate's absolute-maximum value.}
-    {- {!apply} repacks the physical blocks in place — int8 with the
-       symmetric scale [absmax/127], f16 with identity qparams.}
-    {- The caller re-prepares the executor: compiled sections resolve
-       buffer stores eagerly, so code generated before the repack still
-       targets the old f32 storage.}} *)
+    {- {!apply} repacks the physical blocks in place at int8 with the
+       symmetric scale [absmax/127].}
+    {- The executor is re-prepared: compiled sections resolve buffer
+       stores eagerly, so code generated before the repack still
+       targets the old f32 storage.}}
+
+    {!quantize} runs all four steps. *)
 
 val int8_candidates : ?keep:string list -> Program.t -> string list
 (** Buffers eligible for int8 packing, physically deduplicated, in
     (parameters, forward-written) order. *)
-
-val f16_candidates : ?keep:string list -> Program.t -> string list
-(** Buffers eligible for f16 packing: forward-written activations only
-    (parameters stay f32 in the mixed-precision preset). *)
 
 val calibrate :
   exec:Executor.t ->
@@ -38,21 +36,20 @@ val calibrate :
     observed absmax across all batches. Must run before {!apply} (the
     scan reads the still-f32 contents). *)
 
-val apply : Program.t -> kind:Precision.any -> (string * float) list -> int
-(** Repack each [(buf, absmax)] at [kind]; int8 gets the symmetric
-    scale from its absmax, other kinds identity qparams. Buffers whose
-    physical block is already packed are skipped. Returns the number of
-    physical blocks repacked. *)
+val apply : Program.t -> (string * float) list -> int
+(** Repack each [(buf, absmax)] at int8 with the symmetric scale from
+    its absmax. Buffers whose physical block is already packed are
+    skipped. Returns the number of physical blocks repacked. The
+    caller re-prepares any executor of the program afterwards. *)
 
 val quantize :
-  exec:Executor.t ->
   feed:(int -> unit) ->
   ?batches:int ->
   ?keep:string list ->
-  preset:Precision.preset ->
-  Program.t ->
-  int
-(** Plan, calibrate (int8 only) and apply in one step; [`F32] is a
-    no-op returning 0. The executor passed in is only used to run
-    calibration forwards — re-prepare it (or a fresh one) afterwards to
-    pick up the packed stores. *)
+  Executor.t ->
+  Executor.t * int
+(** [quantize ~feed exec] plans, calibrates through [exec] and applies
+    on [Executor.program exec], then returns the executor to run and
+    the number of physical blocks packed. When nothing packs that is
+    [exec] itself; otherwise it is a fresh executor prepared under
+    [Executor.run_opts exec], and [exec] must not run again. *)

@@ -208,14 +208,8 @@ let compile t m ~version ~key =
     | `I8 ->
         let rng = Rng.create (m.seed + version + 0x517) in
         let feed _ = Tensor.fill_uniform rng input ~lo:0.0 ~hi:1.0 in
-        let n =
-          Quantize.quantize ~exec:fast ~feed
-            ~keep:[ m.input_buf; m.output_buf ]
-            ~preset:`I8 fast_prog
-        in
-        if n > 0 then Executor.prepare ~opts:(Executor.run_opts fast) fast_prog
-        else fast
-    | `F32 | `F16 -> fast
+        fst (Quantize.quantize ~feed ~keep:[ m.input_buf; m.output_buf ] fast)
+    | `F32 -> fast
   in
   let quantized =
     let pool = fast_prog.Program.buffers in

@@ -33,9 +33,9 @@ type entry = {
   fast : Executor.t;
   reference : Executor.t;  (** {!Config.unoptimized} degradation target. *)
   quantized : bool;
-      (** The fast path serves from reduced-precision (int8/f16)
-          storage, per the model config's [precision] preset; the
-          reference is always full f32. *)
+      (** The fast path serves from int8 storage, per the model
+          config's [precision] preset; the reference is always full
+          f32. *)
   fast_costs : (string * float) list;
       (** Modeled simulated seconds per forward section. *)
   ref_costs : (string * float) list;

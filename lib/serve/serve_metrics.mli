@@ -19,9 +19,8 @@ val record_throttled : t -> unit
 val record_timeout : t -> unit
 val record_done :
   t -> ?quantized:bool -> degraded:bool -> latency:float -> unit -> unit
-(** [quantized] (default false) marks a response computed by a
-    reduced-precision (int8/f16) fast path — counted alongside
-    fast/degraded, not instead of them. *)
+(** [quantized] (default false) marks a response computed by an int8
+    fast path — counted alongside fast/degraded, not instead of them. *)
 
 val record_cancelled : t -> unit
 (** A request whose run was cancelled in flight (runtime deadline

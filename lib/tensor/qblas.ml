@@ -3,10 +3,10 @@
    Fast kernels exist for the combinations the int8 serving preset
    actually produces — int8 x int8 (integer accumulation, one
    rescale per output), and weight-only int8 against f32 activations —
-   with a decoded-closure fallback covering every other kind mix (f16
-   operands, packed C, ...). All kernels handle both transpose flags
-   through row/column strides, so they accept exactly the calls
-   {!Blas.gemm} does.
+   with a decoded-closure fallback covering every other kind mix (int8
+   activations against f32 weights, packed C). All kernels handle both
+   transpose flags through row/column strides, so they accept exactly
+   the calls {!Blas.gemm} does.
 
    op(A) is m x k and op(B) is k x n as in {!Blas}; [transa] means A is
    stored k x m. C is always m x n at [off_c]. *)
@@ -46,9 +46,6 @@ let kernel_name a b c =
   | Tensor.Store (Precision.F32, _, _), Tensor.Store (Precision.I8, _, _),
     Tensor.Store (Precision.F32, _, _) ->
       "gemm_f32i8"
-  | Tensor.Store (Precision.I8, _, _), Tensor.Store (Precision.F32, _, _),
-    Tensor.Store (Precision.F32, _, _) ->
-      "gemm_i8f32"
   | _ -> "gemm_mixed"
 
 (* int8 x int8 -> f32: integer dot products (native int subsumes the
@@ -129,30 +126,6 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
     done
   done
 
-(* Activation-only int8: int8 A against f32 B. *)
-let gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a
-    ~(b : Tensor.buffer) ~off_b ~(c : Tensor.buffer) ~off_c =
-  let as_i, as_p = strides_a ~transa ~m ~k in
-  let bs_p, bs_j = strides_b ~transb ~n ~k in
-  let za = qa.Precision.zero_point in
-  let rescale = alpha *. qa.Precision.scale in
-  for i = 0 to m - 1 do
-    let row_a = off_a + (i * as_i) in
-    let row_c = off_c + (i * n) in
-    for j = 0 to n - 1 do
-      let col_b = off_b + (j * bs_j) in
-      let acc = ref 0.0 in
-      let ia = ref row_a and ib = ref col_b in
-      for _p = 0 to k - 1 do
-        acc := !acc +. (float_of_int (ug8 a !ia - za) *. ug b !ib);
-        ia := !ia + as_p;
-        ib := !ib + bs_p
-      done;
-      let ci = row_c + j in
-      us c ci (ug c ci +. (rescale *. !acc))
-    done
-  done
-
 (* Decoded fallback: any kind combination, including packed C. *)
 let gemm_mixed ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c
     ~off_c =
@@ -196,10 +169,5 @@ let gemm ?(alpha = 1.0) ?(beta = 1.0) ~transa ~transb ~m ~n ~k ~a ?(off_a = 0)
     Tensor.Store (Precision.F32, _, gc) ->
       scale_c_f32 ~beta ~m ~n ~c:gc.Tensor.data ~off_c;
       gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~a:ga.Tensor.data ~off_a ~qb
-        ~b:gb.Tensor.data ~off_b ~c:gc.Tensor.data ~off_c
-  | Tensor.Store (Precision.I8, qa, ga), Tensor.Store (Precision.F32, _, gb),
-    Tensor.Store (Precision.F32, _, gc) ->
-      scale_c_f32 ~beta ~m ~n ~c:gc.Tensor.data ~off_c;
-      gemm_i8f32 ~alpha ~transa ~transb ~m ~n ~k ~qa ~a:ga.Tensor.data ~off_a
         ~b:gb.Tensor.data ~off_b ~c:gc.Tensor.data ~off_c
   | _ -> gemm_mixed ~alpha ~beta ~transa ~transb ~m ~n ~k ~a ~off_a ~b ~off_b ~c ~off_c

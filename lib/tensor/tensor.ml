@@ -240,9 +240,7 @@ let encode : type a b. (a, b) Precision.kind -> Precision.qparams -> float -> a
     =
  fun k qp v ->
   match k with
-  | Precision.F64 -> v
   | Precision.F32 -> v
-  | Precision.F16 -> Precision.f16_encode v
   | Precision.I8 -> Precision.quantize qp v
 
 let gen_create : type a b. (a, b) Precision.kind -> Shape.t -> (a, b) gen =
@@ -253,9 +251,7 @@ let gen_create : type a b. (a, b) Precision.kind -> Shape.t -> (a, b) gen =
   in
   let zero : a =
     match k with
-    | Precision.F64 -> 0.0
     | Precision.F32 -> 0.0
-    | Precision.F16 -> 0
     | Precision.I8 -> 0
   in
   Bigarray.Array1.fill data zero;
@@ -291,15 +287,11 @@ let store_f32_opt (Store (k, _, g)) : t option =
 let store_data_id (Store (_, _, g)) = Obj.repr g.data
 
 (* Unsafe decoded accessors, specialized per kind once so the per-
-   element work is a load (plus a table read or scale multiply). *)
+   element work is a load (plus a scale multiply). *)
 let store_reader (Store (k, qp, g)) : int -> float =
   let data = g.data in
   match k with
-  | Precision.F64 -> fun i -> Bigarray.Array1.unsafe_get data i
   | Precision.F32 -> fun i -> Bigarray.Array1.unsafe_get data i
-  | Precision.F16 ->
-      let table = Precision.f16_table () in
-      fun i -> Array.unsafe_get table (Bigarray.Array1.unsafe_get data i)
   | Precision.I8 ->
       let s = qp.Precision.scale and z = qp.Precision.zero_point in
       fun i -> s *. float_of_int (Bigarray.Array1.unsafe_get data i - z)
@@ -307,10 +299,7 @@ let store_reader (Store (k, qp, g)) : int -> float =
 let store_writer (Store (k, qp, g)) : int -> float -> unit =
   let data = g.data in
   match k with
-  | Precision.F64 -> fun i v -> Bigarray.Array1.unsafe_set data i v
   | Precision.F32 -> fun i v -> Bigarray.Array1.unsafe_set data i v
-  | Precision.F16 ->
-      fun i v -> Bigarray.Array1.unsafe_set data i (Precision.f16_encode v)
   | Precision.I8 ->
       fun i v -> Bigarray.Array1.unsafe_set data i (Precision.quantize qp v)
 

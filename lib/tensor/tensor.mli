@@ -119,9 +119,9 @@ val pp : Format.formatter -> t -> unit
 
     A [store] is a tensor of {e any} storage precision, packed with its
     kind and quantization parameters. Integer-coded stores decode to
-    floats through their {!Precision.qparams} (f16 through the binary16
-    tables); f32 stores expose their raw buffer via {!store_f32_data}
-    so hot paths can keep the untyped-float fast path. *)
+    floats through their {!Precision.qparams}; f32 stores expose their
+    raw buffer via {!store_f32_data} so hot paths can keep the
+    untyped-float fast path. *)
 
 type store =
   | Store : ('a, 'b) Precision.kind * Precision.qparams * ('a, 'b) gen -> store
@@ -131,7 +131,7 @@ val store_of_f32 : t -> store
 
 val store_create : ?qparams:Precision.qparams -> Precision.any -> Shape.t -> store
 (** Fresh store holding encoded zeros. [qparams] defaults to
-    {!Precision.qid} and is ignored by float kinds. *)
+    {!Precision.qid} and is ignored by [F32]. *)
 
 val store_shape : store -> Shape.t
 val store_numel : store -> int

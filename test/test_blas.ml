@@ -97,7 +97,7 @@ let test_flops () =
    interpreter differential cannot see such an error, because both
    paths dispatch the same Qblas kernels. *)
 
-type qkind = Qf32 | Qi8 of Precision.qparams | Qf16
+type qkind = Qf32 | Qi8 of Precision.qparams
 
 (* A packed operand of [n] elements and its dequantized values. Each
    value is drawn exactly representable in the operand's kind, so the
@@ -114,10 +114,6 @@ let qoperand rng kind n =
         ( Precision.Any Precision.I8,
           qp,
           fun () -> Precision.dequantize qp (Rng.int rng 256 - 128) )
-    | Qf16 ->
-        ( Precision.Any Precision.F16,
-          Precision.qid,
-          fun () -> Precision.f16_decode (Precision.f16_encode (uniform ())) )
   in
   let st = Tensor.store_create ~qparams prec [| n |] in
   let values = Array.init n (fun _ -> draw ()) in
@@ -173,8 +169,7 @@ let test_qblas_reference () =
     [
       (Qi8 qa, Qi8 qb, "gemm_i8i8");
       (Qf32, Qi8 qb, "gemm_f32i8");
-      (Qi8 qa, Qf32, "gemm_i8f32");
-      (Qf16, Qi8 qb, "gemm_mixed");
+      (Qi8 qa, Qf32, "gemm_mixed");
     ]
 
 let size_gen = QCheck.Gen.int_range 1 24

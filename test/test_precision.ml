@@ -22,16 +22,6 @@ let prop_qparams_roundtrip =
       let err = Float.abs (Precision.dequantize qp (Precision.quantize qp v) -. v) in
       err <= (qp.Precision.scale /. 2.0) +. 1e-12)
 
-(* Encode/decode through binary16: error bounded by half an ulp
-   (2^-11 relative) for normal magnitudes. *)
-let prop_f16_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"f16 roundtrip error <= half ulp"
-    (QCheck.make
-       QCheck.Gen.(map (fun n -> (float_of_int n /. 1000.0) -. 10.0) (int_bound 20_000)))
-    (fun v ->
-      let r = Precision.f16_decode (Precision.f16_encode v) in
-      Float.abs (r -. v) <= Float.max (2.0 ** -24.0) (Float.abs v *. (2.0 ** -11.0)))
-
 let test_quantize_clamps () =
   let qp = Precision.qparams_of_absmax 1.0 in
   Alcotest.(check int) "overflow clamps high" 127 (Precision.quantize qp 50.0);
@@ -139,8 +129,8 @@ let test_quantized_compiled_vs_eval build () =
   let absmax =
     Quantize.calibrate ~exec:exec_a ~feed:(fun _ -> ()) ~batches:1 cands
   in
-  let packed_a = Quantize.apply prog_a ~kind:(Precision.Any Precision.I8) absmax in
-  let packed_b = Quantize.apply prog_b ~kind:(Precision.Any Precision.I8) absmax in
+  let packed_a = Quantize.apply prog_a absmax in
+  let packed_b = Quantize.apply prog_b absmax in
   Alcotest.(check int) "identical packing" packed_a packed_b;
   let exec_a = Executor.prepare prog_a in
   (* The packed gather, -inf fill and pool max run in the strided loop
@@ -243,11 +233,12 @@ let test_int8_stock_fidelity () =
           ~labels:labels8
       in
       let keep = [ spec.Models.label_buf; spec.Models.loss_buf; out_buf ] in
-      let packed =
-        Quantize.quantize ~exec:exec8 ~feed ~batches:2 ~keep ~preset:`I8 prog8
-      in
+      let exec8, packed = Quantize.quantize ~feed ~batches:2 ~keep exec8 in
       Alcotest.(check bool) (name ^ " packs buffers") true (packed > 0);
-      let exec8 = Executor.prepare prog8 in
+      (* The returned executor is compiled against the packed stores:
+         its GEMMs read int8 weights. *)
+      Alcotest.(check bool) (name ^ " runs int8 GEMMs") true
+        (List.mem_assoc "gemm_f32i8" (Executor.kernel_stats exec8));
       let batches = 8 in
       let agree = ref 0 and total = ref 0 in
       for i = 0 to batches - 1 do
@@ -302,10 +293,9 @@ let test_int8_lenet_pools () =
     [ data_buf; spec.Models.label_buf; spec.Models.loss_buf;
       spec.Models.output_ens ^ ".value" ]
   in
-  ignore
-    (Quantize.quantize ~exec:exec8 ~feed:(fun _ -> fill exec8) ~batches:1
-       ~keep ~preset:`I8 prog8);
-  let exec8 = Executor.prepare prog8 in
+  let exec8, _ =
+    Quantize.quantize ~feed:(fun _ -> fill exec8) ~batches:1 ~keep exec8
+  in
   fill exec32;
   fill exec8;
   Executor.forward exec32;
@@ -390,9 +380,7 @@ let test_int8_dump_golden () =
     [ spec.Models.label_buf; spec.Models.loss_buf;
       spec.Models.output_ens ^ ".value" ]
   in
-  ignore
-    (Quantize.quantize ~exec ~feed:(fun _ -> ()) ~batches:1 ~keep ~preset:`I8
-       prog);
+  ignore (Quantize.quantize ~feed:(fun _ -> ()) ~batches:1 ~keep exec);
   let dump = Pipeline.dump prog in
   (* Keep only the buffer table: byte counts and [int8] markers, no IR
      text to churn. *)
@@ -420,7 +408,6 @@ let test_int8_dump_golden () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_qparams_roundtrip;
-    QCheck_alcotest.to_alcotest prop_f16_roundtrip;
     Alcotest.test_case "quantize clamps" `Quick test_quantize_clamps;
     Alcotest.test_case "quantize saturates non-finite" `Quick
       test_quantize_saturates;

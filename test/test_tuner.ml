@@ -23,7 +23,7 @@ let preset = Alcotest.testable (Fmt.of_to_string Precision.preset_to_string) ( =
 let test_env_precision () =
   let p = Latte_env.parse_precision in
   Alcotest.(check preset) "missing" `F32 (p None);
-  Alcotest.(check preset) "f16" `F16 (p (Some "f16"));
+  Alcotest.(check preset) "f16 is malformed" `F32 (p (Some "f16"));
   Alcotest.(check preset) "int8" `I8 (p (Some "int8"));
   Alcotest.(check preset) "malformed" `F32 (p (Some "float64"));
   Alcotest.(check preset) "empty" `F32 (p (Some ""))
@@ -46,11 +46,11 @@ let test_env_tune_cache () =
    ("off") that cannot leak a shared cache into later tests. *)
 let test_config_of_env () =
   Unix.putenv "LATTE_DOMAINS" "4";
-  Unix.putenv "LATTE_PRECISION" "f16";
+  Unix.putenv "LATTE_PRECISION" "int8";
   Unix.putenv "LATTE_TUNE_CACHE" "/tmp/somewhere";
   let e = Config.of_env () in
   Alcotest.(check int) "domains" 4 e.Config.env_domains;
-  Alcotest.(check preset) "precision" `F16 e.Config.env_precision;
+  Alcotest.(check preset) "precision" `I8 e.Config.env_precision;
   Alcotest.(check bool) "cache path" true
     (e.Config.env_tune_cache = Latte_env.Path "/tmp/somewhere");
   Unix.putenv "LATTE_DOMAINS" "not-a-number";

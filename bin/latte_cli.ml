@@ -180,17 +180,11 @@ let dump_ir model size config verify dump_after pass_stats =
         | None ->
             Printf.printf "%-40s loop %-8s %d workers%s\n" sect
               e.Ir_compile.par_var e.Ir_compile.par_workers
-              ((match e.Ir_compile.par_replayed with
-               | [] -> ""
-               | rs ->
-                   Printf.sprintf ", sequential replay of %s"
-                     (String.concat ", " rs))
-              ^
-              match e.Ir_compile.par_private with
+              (match e.Ir_compile.par_replayed with
               | [] -> ""
-              | ps ->
-                  Printf.sprintf ", privatized max-reduction of %s"
-                    (String.concat ", " ps)))
+              | rs ->
+                  Printf.sprintf ", sequential replay of %s"
+                    (String.concat ", " rs)))
       (Executor.schedule exec)
   end;
   if pass_stats then begin

@@ -16,8 +16,8 @@
       [\[t·r, min(ext, (t+1)·r))] prove disjoint exactly.
     - {b Reduction}: the buffer is only ever updated by [Accum]s with
       one associative operator (a [beta ≠ 0] GEMM counts as a [+=]
-      accumulation) and never otherwise read in the loop — privatizable
-      per worker, or replayable in iteration order.
+      accumulation) and never otherwise read in the loop — replayable
+      in iteration order.
     - {b Conflicting}: a cross-iteration dependence with a concrete
       witness — two distinct iteration numbers and the index both
       provably touch. Witnesses are only claimed for unguarded accesses
@@ -27,9 +27,9 @@
 
     Consumers: {!Ir_verify} rejects parallel annotations only on
     [Conflicting]/[Unknown]; {!Ir_compile}'s partitioner moves
-    [Independent]-proven buffers out of the sequential replay and
-    privatizes [Acc_max] reductions; the [parallelize] pass annotates
-    loops the syntactic batch/tile rule skips.
+    [Independent]-proven buffers out of the sequential replay, where
+    [Reduction] buffers ([+] and [max] alike) stay; the [parallelize]
+    pass annotates loops the syntactic batch/tile rule skips.
 
     The analysis is name-based: two buffer names aliased onto one
     storage block by in-place planning are classified separately (the

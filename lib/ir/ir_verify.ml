@@ -83,7 +83,7 @@ let verify_stmts ?(bound = []) ~shape_of ~region stmts =
      delegated to the {!Ir_deps} analyzer under the interval
      environment of the enclosing loops. Accepts only buffers proven
      Independent (disjoint footprints per iteration) or Reduction
-     (associative accumulates, privatizable per §5.4.3); Conflicting
+     (associative accumulates, replayed in order per §5.4.3); Conflicting
      verdicts carry a concrete witness iteration pair. *)
   let check_parallel benv (l : loop) =
     let dims buf = Option.map (fun (s : Shape.t) -> (s :> int array)) (shape_of buf) in

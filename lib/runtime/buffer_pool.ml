@@ -78,10 +78,10 @@ let total_bytes t =
       else acc)
     0 (names t)
 
-(* Rebuild [name] (and every alias of its physical block) at a new
-   precision, re-encoding the current f32 contents. Raises [Failure]
-   when the buffer is already packed. *)
-let repack t name ~kind ~qparams =
+(* Rebuild [name] (and every alias of its physical block) at int8,
+   re-encoding the current f32 contents. Raises [Failure] when the
+   buffer is already packed. *)
+let repack t name ~qparams =
   let e = find t name in
   let phys = e.physical in
   let phys_entry = find t phys in
@@ -91,7 +91,9 @@ let repack t name ~kind ~qparams =
     | None ->
         failwith (Printf.sprintf "Buffer_pool.repack: %s is already packed" name)
   in
-  let packed = Tensor.store_create ~qparams kind (Tensor.shape src) in
+  let packed =
+    Tensor.store_create ~qparams (Precision.Any Precision.I8) (Tensor.shape src)
+  in
   Tensor.store_blit_from_f32 ~src ~dst:packed;
   List.iter
     (fun n ->

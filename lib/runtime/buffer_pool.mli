@@ -63,9 +63,9 @@ val total_bytes : t -> int
 (** Bytes of real storage at declared widths (aliases not
     double-counted). *)
 
-val repack : t -> string -> kind:Precision.any -> qparams:Precision.qparams -> unit
-(** Re-register [name]'s physical block (and every alias of it) at a
-    new precision, re-encoding the current f32 contents. Raises
+val repack : t -> string -> qparams:Precision.qparams -> unit
+(** Re-register [name]'s physical block (and every alias of it) at
+    int8 under [qparams], re-encoding the current f32 contents. Raises
     [Failure] when already packed. *)
 
 (** {1 Process-level memory ledger}

@@ -90,8 +90,7 @@ let apply (prog : Program.t) absmaxes =
       if Hashtbl.mem packed p || not (Buffer_pool.is_f32 pool b) then n
       else begin
         Hashtbl.replace packed p ();
-        Buffer_pool.repack pool b ~kind:(Precision.Any Precision.I8)
-          ~qparams:(Precision.qparams_of_absmax a);
+        Buffer_pool.repack pool b ~qparams:(Precision.qparams_of_absmax a);
         n + 1
       end)
     0 absmaxes

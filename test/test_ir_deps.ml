@@ -338,7 +338,7 @@ let test_stock_models () =
    - Conflicting witnesses name two real iterations that both touch
      the witnessed element, with at least one writing it.
    Reduction/Unknown verdicts carry no disprovable claim here (the
-   compiler handles both with replay or privatization). *)
+   compiler handles both with replay or a sequential fallback). *)
 module ISet = Set.Make (Int)
 
 let fuzz_race_oracle () =

@@ -138,7 +138,7 @@ let test_parallel_legal () =
   in
   Alcotest.(check int) "partitioned store ok" 0
     (List.length (verify partitioned));
-  (* Accumulation is a reduction: privatizable, legal. *)
+  (* Accumulation is a reduction: replayed in order, legal. *)
   let reduction =
     [
       mk_for ~parallel:true "p" (Iconst 0) (Iconst 4)

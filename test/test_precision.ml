@@ -50,7 +50,7 @@ let test_pool_repack () =
   Alcotest.(check bool) "starts f32" true (Buffer_pool.is_f32 pool "w");
   let absmax = Tensor.store_absmax (Buffer_pool.store pool "w") in
   let qp = Precision.qparams_of_absmax absmax in
-  Buffer_pool.repack pool "w" ~kind:(Precision.Any Precision.I8) ~qparams:qp;
+  Buffer_pool.repack pool "w" ~qparams:qp;
   Alcotest.(check bool) "packed" false (Buffer_pool.is_f32 pool "w");
   Alcotest.(check int) "1 byte/elem" 1 (Buffer_pool.elem_bytes pool "w");
   let back = Buffer_pool.read_f32 pool "w" in
@@ -73,8 +73,7 @@ let test_pool_repack_shrinks () =
   let pool = Buffer_pool.create () in
   ignore (Buffer_pool.alloc pool "a" (Shape.create [ 64 ]));
   let before = Buffer_pool.total_bytes pool in
-  Buffer_pool.repack pool "a" ~kind:(Precision.Any Precision.I8)
-    ~qparams:(Precision.qparams_of_absmax 1.0);
+  Buffer_pool.repack pool "a" ~qparams:(Precision.qparams_of_absmax 1.0);
   Alcotest.(check int) "quarter footprint" (before / 4)
     (Buffer_pool.total_bytes pool)
 
@@ -340,8 +339,7 @@ let test_narrow_accum_lint () =
        (fun (f : Ir_bounds.finding) -> f.Ir_bounds.kind = Ir_bounds.Narrow_accum)
        (Ir_bounds.all_findings rep));
   (* Packed target: flagged, but non-fatal (a lint, not a refusal). *)
-  Buffer_pool.repack pool "acc" ~kind:(Precision.Any Precision.I8)
-    ~qparams:(Precision.qparams_of_absmax 1.0);
+  Buffer_pool.repack pool "acc" ~qparams:(Precision.qparams_of_absmax 1.0);
   let rep = Ir_bounds.analyze ~shape_of ~storage_of regions in
   let narrow =
     List.filter

@@ -18,7 +18,8 @@
 
     Loops compute {!Ir_eval}'s results bit for bit, which the test suite
     checks on random nests; f32 GEMMs call the blocked {!Blas.gemm}
-    where {!Ir_eval} calls the naive reference. *)
+    where {!Ir_eval} calls the naive {!Blas.gemm_naive}, and both follow
+    one summation rule, so they agree bit for bit too. *)
 
 type compiled
 

@@ -3,12 +3,35 @@
     This plays the role of Intel MKL in the paper: the compiler's
     pattern-matching phase rewrites synthesized dot-product loop nests
     into calls to {!gemm}, which is substantially faster than the
-    equivalent interpreted loops thanks to register blocking and
-    cache-aware loop ordering.
+    equivalent interpreted loops thanks to register blocking.
 
     Conventions: matrices are packed row-major. [gemm] computes
     [C := alpha * op(A) * op(B) + beta * C] where [op(A)] is [m x k]
-    and [op(B)] is [k x n]; [transa] means A is stored [k x m].
+    and [op(B)] is [k x n]; [transa] means A is stored [k x m], and
+    [transb] that B is stored [n x k].
+
+    {b One summation rule.} [beta] is applied first, as in BLAS:
+    [beta = 0] stores [0.0] (so NaN in C is cleared), [beta = 1] leaves
+    C alone, and any other [beta] rounds [beta * C] to f32. Then each
+    element becomes [C[i,j] + alpha * acc], rounded to f32 once, where
+    [acc] is a double summed from [+0.0] over ascending [p] of
+    [op(A)[i,p] * op(B)[p,j]]:
+    - when [transb] is true (every forward conv and FC GEMM) every term
+      is summed, so a zero in op(A) facing an infinity or NaN in op(B)
+      gives NaN, as a dot-product loop does;
+    - when [transb] is false (every backward GEMM, whose op(A) is a
+      gradient that ReLU and max-pool leave mostly zero) only the
+      nonzero entries of op(A) are summed, so such a zero contributes
+      nothing and C stays finite. A NaN in op(A) is nonzero and is
+      summed.
+    Skipping a zero changes no finite result: products of f32 values are
+    exact in a double, so a skipped term is a signed zero, and [acc],
+    which starts at [+0.0], absorbs it.
+
+    {!gemm} and {!gemm_naive} both follow the rule, so they agree bit
+    for bit, NaN payloads and signed zeros included. That is why the
+    compiled path ({!gemm}) equals [Ir_eval] ({!gemm_naive}) bit for
+    bit.
 
     {b No kernel checks bounds.} Every element access is an inline
     {!Tensor.buffer_get}/{!Tensor.buffer_set}, so an index outside a
@@ -36,9 +59,15 @@ val gemm :
   ?off_c:int ->
   unit ->
   unit
-(** Blocked implementation. The [off_*] arguments give flat offsets into
-    the buffers so sub-matrices of larger workspaces can be addressed
-    without copying. *)
+(** The blocked kernels, chosen by [transb]. When it is true, a 4x2
+    register block of C: eight double accumulators, each load of op(A)
+    feeding two products and each load of B four. When it is false, a
+    gather: each row of op(A) is reduced once to its nonzero (B row,
+    value) pairs, which are then summed against four contiguous columns
+    of B at a time. Its work arrays are one pair per domain, grown
+    to the largest [k] seen. The [off_*] arguments give flat offsets
+    into the buffers so sub-matrices of larger workspaces can be
+    addressed without copying. *)
 
 val gemm_naive :
   ?alpha:float ->
@@ -56,23 +85,9 @@ val gemm_naive :
   ?off_c:int ->
   unit ->
   unit
-(** Triple-loop reference used by the test suite to validate {!gemm}. *)
-
-val gemv :
-  transa:bool ->
-  m:int ->
-  n:int ->
-  a:buffer ->
-  x:buffer ->
-  y:buffer ->
-  unit
-(** y := op(A) * x + y with A stored m x n row-major. *)
-
-val axpy : alpha:float -> n:int -> x:buffer -> y:buffer -> unit
-
-val dot : n:int -> x:buffer -> y:buffer -> float
-
-val scal : alpha:float -> n:int -> x:buffer -> unit
+(** The triple-loop oracle: one dot product per element, under the same
+    rule as {!gemm}. [Ir_eval] runs every f32 GEMM statement through it
+    and [Mocha_like] every FC GEMM, and the tests pin {!gemm} to it. *)
 
 val gemm_flops : m:int -> n:int -> k:int -> float
 (** 2*m*n*k, the canonical GEMM flop count used by the cost model. *)

@@ -49,41 +49,71 @@ let kernel_name a b c =
   | _ -> "gemm_mixed"
 
 (* int8 x int8 -> f32: integer dot products (native int subsumes the
-   int32 accumulator), one float rescale per C element. *)
+   int32 accumulator), one float rescale per C element. A 4x2 block of C
+   keeps eight integer accumulators, as {!Blas}'s dot kernel does with
+   doubles; integer sums are exact, so the blocking moves no bit and the
+   m mod 4 and n mod 2 tails take one dot product each. *)
 let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a ~qb
     ~(b : i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
   let za = qa.Precision.zero_point and zb = qb.Precision.zero_point in
   let rescale = alpha *. qa.Precision.scale *. qb.Precision.scale in
-  for i = 0 to m - 1 do
-    let row_a = off_a + (i * as_i) in
-    let row_c = off_c + (i * n) in
-    for j = 0 to n - 1 do
-      let col_b = off_b + (j * bs_j) in
-      let acc = ref 0 in
-      let ia = ref row_a and ib = ref col_b in
-      let p = ref 0 in
-      while !p + 3 < k do
-        let a0 = ug8 a !ia - za and b0 = ug8 b !ib - zb in
-        let a1 = ug8 a (!ia + as_p) - za and b1 = ug8 b (!ib + bs_p) - zb in
-        let a2 = ug8 a (!ia + (2 * as_p)) - za
-        and b2 = ug8 b (!ib + (2 * bs_p)) - zb in
-        let a3 = ug8 a (!ia + (3 * as_p)) - za
-        and b3 = ug8 b (!ib + (3 * bs_p)) - zb in
-        acc := !acc + (a0 * b0) + (a1 * b1) + (a2 * b2) + (a3 * b3);
-        ia := !ia + (4 * as_p);
-        ib := !ib + (4 * bs_p);
-        p := !p + 4
-      done;
-      while !p < k do
-        acc := !acc + ((ug8 a !ia - za) * (ug8 b !ib - zb));
+  let put i j acc =
+    let ci = off_c + (i * n) + j in
+    us c ci (ug c ci +. (rescale *. float_of_int acc))
+  in
+  let dot i j =
+    let acc = ref 0 in
+    let ia = ref (off_a + (i * as_i)) and ib = ref (off_b + (j * bs_j)) in
+    for _ = 1 to k do
+      acc := !acc + ((ug8 a !ia - za) * (ug8 b !ib - zb));
+      ia := !ia + as_p;
+      ib := !ib + bs_p
+    done;
+    !acc
+  in
+  let m4 = m - (m mod 4) and n2 = n - (n mod 2) in
+  for i4 = 0 to (m4 / 4) - 1 do
+    let i0 = 4 * i4 in
+    for j2 = 0 to (n2 / 2) - 1 do
+      let j0 = 2 * j2 in
+      let c00 = ref 0 and c01 = ref 0 and c10 = ref 0 and c11 = ref 0 in
+      let c20 = ref 0 and c21 = ref 0 and c30 = ref 0 and c31 = ref 0 in
+      let ia = ref (off_a + (i0 * as_i)) and ib = ref (off_b + (j0 * bs_j)) in
+      for _ = 1 to k do
+        let b0 = ug8 b !ib - zb and b1 = ug8 b (!ib + bs_j) - zb in
+        let a0 = ug8 a !ia - za and a1 = ug8 a (!ia + as_i) - za in
+        c00 := !c00 + (a0 * b0);
+        c01 := !c01 + (a0 * b1);
+        c10 := !c10 + (a1 * b0);
+        c11 := !c11 + (a1 * b1);
+        let a2 = ug8 a (!ia + (2 * as_i)) - za
+        and a3 = ug8 a (!ia + (3 * as_i)) - za in
+        c20 := !c20 + (a2 * b0);
+        c21 := !c21 + (a2 * b1);
+        c30 := !c30 + (a3 * b0);
+        c31 := !c31 + (a3 * b1);
         ia := !ia + as_p;
-        ib := !ib + bs_p;
-        incr p
+        ib := !ib + bs_p
       done;
-      let ci = row_c + j in
-      us c ci (ug c ci +. (rescale *. float_of_int !acc))
+      put i0 j0 !c00;
+      put i0 (j0 + 1) !c01;
+      put (i0 + 1) j0 !c10;
+      put (i0 + 1) (j0 + 1) !c11;
+      put (i0 + 2) j0 !c20;
+      put (i0 + 2) (j0 + 1) !c21;
+      put (i0 + 3) j0 !c30;
+      put (i0 + 3) (j0 + 1) !c31
+    done;
+    if n2 < n then
+      for i = i0 to i0 + 3 do
+        put i n2 (dot i n2)
+      done
+  done;
+  for i = m4 to m - 1 do
+    for j = 0 to n - 1 do
+      put i j (dot i j)
     done
   done
 

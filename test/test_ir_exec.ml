@@ -176,27 +176,33 @@ let test_if_stmt () =
   in
   check_agree (run_both stmts)
 
+(* Compiled GEMMs run Blas.gemm and Ir_eval runs its oracle,
+   Blas.gemm_naive; both follow one summation rule, so they agree bit
+   for bit in every orientation, with IEEE specials planted in A. *)
 let test_gemm_stmt () =
-  let g =
-    Gemm
-      {
-        transa = false;
-        transb = false;
-        m = i 4;
-        n = i 6;
-        k = i 5;
-        a = "src";
-        off_a = i 0;
-        b = "src2";
-        off_b = i 0;
-        c = "dst";
-        off_c = i 0;
-        alpha = 1.0;
-        beta = 1.0;
-        gemm_tile = None;
-      }
-  in
-  check_agree (run_both [ g ])
+  List.iter
+    (fun (transa, transb) ->
+      let g =
+        Gemm
+          {
+            transa;
+            transb;
+            m = i 4;
+            n = i 6;
+            k = i 5;
+            a = "src";
+            off_a = i 0;
+            b = "src2";
+            off_b = i 0;
+            c = "dst";
+            off_c = i 0;
+            alpha = -1.75;
+            beta = 0.5;
+            gemm_tile = None;
+          }
+      in
+      check_bitwise (run_both ~plant:plant_specials [ g ]))
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 (* The GEMM kernels never check bounds, so both paths check a call's
    operand spans before dispatch: C = [8, 24) of a 16-element buffer
@@ -415,6 +421,74 @@ let test_free_vars () =
   Alcotest.(check (float 0.0)) "bound var" 7.0
     (Tensor.get1 (Buffer_pool.lookup env "acc") 2)
 
+(* Whole programs: each direction of every stock model (bench scale,
+   batch 1-4, default passes, f32, one domain) runs from one snapshot
+   twice, compiled and through Ir_eval, and every buffer must match bit
+   for bit. The backward starts from the compiled forward's state.
+   Compiled GEMMs call Blas.gemm and Ir_eval calls Blas.gemm_naive, so
+   this pins the two to one summation rule on real operands, including
+   the gradients ReLU and max-pool leave mostly zero. *)
+let test_stock_directions () =
+  List.iter
+    (fun (name, specf) ->
+      let spec = specf () in
+      let config =
+        Config.with_flags ~num_domains:1 ~precision:`F32 Config.default
+      in
+      let prog = Pipeline.compile ~seed:42 config spec.Models.net in
+      let exec =
+        Executor.prepare
+          ~opts:(Executor.Run_opts.with_domains 1 Executor.Run_opts.default)
+          prog
+      in
+      let pool = prog.Program.buffers in
+      let names = Buffer_pool.names pool in
+      let image () =
+        List.map (fun b -> (b, Tensor.copy (Buffer_pool.lookup pool b))) names
+      in
+      let restore img =
+        List.iter (fun (b, t) -> Tensor.blit ~src:t ~dst:(Buffer_pool.lookup pool b)) img
+      in
+      Tensor.fill_uniform (Rng.create 13)
+        (Buffer_pool.lookup pool (spec.Models.data_ens ^ ".value"))
+        ~lo:(-1.0) ~hi:1.0;
+      let labels = Buffer_pool.lookup pool spec.Models.label_buf in
+      for b = 0 to Tensor.numel labels - 1 do
+        Tensor.set1 labels b (float_of_int (b mod 3))
+      done;
+      let direction what run sections =
+        let snap = image () in
+        run exec;
+        let compiled = image () in
+        restore snap;
+        List.iter
+          (fun (s : Program.section) ->
+            Ir_eval.run ~lookup:(Buffer_pool.lookup pool)
+              ~store_of:(Buffer_pool.store pool) s.Program.stmts)
+          sections;
+        let differ =
+          List.filter_map
+            (fun (b, t) ->
+              let x = Tensor.to_array t
+              and y = Tensor.to_array (Buffer_pool.lookup pool b) in
+              let rec first k =
+                if k = Array.length x then None
+                else if Int64.equal (Int64.bits_of_float x.(k)) (Int64.bits_of_float y.(k))
+                then first (k + 1)
+                else Some (Printf.sprintf "%s[%d]: compiled %h, Ir_eval %h" b k x.(k) y.(k))
+              in
+              first 0)
+            compiled
+        in
+        restore compiled;
+        if differ <> [] then
+          Alcotest.failf "%s %s: %d buffers differ, e.g. %s" name what
+            (List.length differ) (List.hd differ)
+      in
+      direction "forward" Executor.forward prog.Program.forward;
+      direction "backward" Executor.backward prog.Program.backward)
+    Test_domains.stock_models
+
 let suite =
   [
     Alcotest.test_case "copy kernel" `Quick test_copy_kernel;
@@ -429,6 +503,7 @@ let suite =
     Alcotest.test_case "dynamic bounds" `Quick test_dynamic_bounds;
     Alcotest.test_case "float_of_int" `Quick test_float_of_int;
     Alcotest.test_case "free vars" `Quick test_free_vars;
+    Alcotest.test_case "stock models: compiled = Ir_eval" `Slow test_stock_directions;
     QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
     QCheck_alcotest.to_alcotest prop_compiled_index_matches_reference;
   ]

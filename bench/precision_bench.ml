@@ -83,16 +83,48 @@ let max_delta outs_a outs_b =
 
 type row = {
   preset : string;
-  fwd_ms : float;
+  fwd_ms : float;  (** Median of the timed rounds. *)
+  p10_ms : float;
+  p90_ms : float;
   bytes : int;
   packed : int;
   agree_pct : int;
   maxd : float;
 }
 
-(* The median of nine forwards: on a shared host, the slower of two
-   moved a preset's time by up to half between runs of one build. *)
-let time_fwd exec = Executor.time_forward ~warmup:1 ~iters:9 exec
+(* Nearest-rank percentile of an unsorted sample, [q] in [0, 1]. *)
+let percentile q xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(min (Array.length a - 1) (int_of_float (q *. float_of_int (Array.length a))))
+
+(* Both presets are timed in the same rounds, one forward each per
+   round, and the one that goes first alternates: on a shared host,
+   timing nine f32 forwards and then nine int8 ones moved lenet's ratio
+   from 0.76x to 0.54x between two runs of one build. *)
+let rounds = 21
+
+let time_interleaved exec32 exec8 =
+  let time exec =
+    let t0 = Unix.gettimeofday () in
+    Executor.forward exec;
+    (Unix.gettimeofday () -. t0) *. 1e3
+  in
+  Executor.forward exec32;
+  Executor.forward exec8;
+  let t32 = ref [] and t8 = ref [] in
+  for r = 1 to rounds do
+    if r mod 2 = 1 then begin
+      t32 := time exec32 :: !t32;
+      t8 := time exec8 :: !t8
+    end
+    else begin
+      t8 := time exec8 :: !t8;
+      t32 := time exec32 :: !t32
+    end
+  done;
+  let stats ts = (percentile 0.5 ts, percentile 0.1 ts, percentile 0.9 ts) in
+  (stats !t32, stats !t8)
 
 let run_model name build =
   (* f32 baseline *)
@@ -101,12 +133,6 @@ let run_model name build =
   let exec32 = Executor.prepare prog32 in
   let outs32 = eval_outputs exec32 spec in
   let base = argmaxes exec32 outs32 in
-  let t32 = time_fwd exec32 in
-  let b32 = Buffer_pool.total_bytes prog32.Program.buffers in
-  let f32 =
-    { preset = "f32"; fwd_ms = t32 *. 1e3; bytes = b32; packed = 0;
-      agree_pct = 100; maxd = 0.0 }
-  in
   (* int8: compile f32, calibrate on the eval feed, quantize, re-prepare *)
   let spec8 = build () in
   let prog8 = Pipeline.compile ~seed:1 Config.default spec8.Models.net in
@@ -119,39 +145,52 @@ let run_model name build =
     Quantize.quantize ~feed:(feed exec8 spec8) ~keep exec8
   in
   let outs8 = eval_outputs exec8 spec8 in
+  let (m32, lo32, hi32), (m8, lo8, hi8) = time_interleaved exec32 exec8 in
+  let f32 =
+    { preset = "f32"; fwd_ms = m32; p10_ms = lo32; p90_ms = hi32;
+      bytes = Buffer_pool.total_bytes prog32.Program.buffers; packed = 0;
+      agree_pct = 100; maxd = 0.0 }
+  in
   let int8 =
-    { preset = "int8"; fwd_ms = time_fwd exec8 *. 1e3;
+    { preset = "int8"; fwd_ms = m8; p10_ms = lo8; p90_ms = hi8;
       bytes = Buffer_pool.total_bytes prog8.Program.buffers; packed = packed8;
       agree_pct = fidelity ~base ~cand:(argmaxes exec8 outs8);
       maxd = max_delta outs32 outs8 }
   in
-  (name, t32, [ f32; int8 ])
+  (name, m32, [ f32; int8 ])
 
 let json_row name (r : row) =
   Printf.sprintf
-    "{\"model\":\"%s\",\"preset\":\"%s\",\"fwd_ms\":%.4f,\"bytes\":%d,\
-     \"packed\":%d,\"top1_agreement_pct\":%d,\"max_abs_delta\":%.6g}"
-    name r.preset r.fwd_ms r.bytes r.packed r.agree_pct r.maxd
+    "{\"model\":\"%s\",\"preset\":\"%s\",\"fwd_ms\":%.4f,\"p10_ms\":%.4f,\
+     \"p90_ms\":%.4f,\"rounds\":%d,\"bytes\":%d,\"packed\":%d,\
+     \"top1_agreement_pct\":%d,\"max_abs_delta\":%.6g}"
+    name r.preset r.fwd_ms r.p10_ms r.p90_ms rounds r.bytes r.packed r.agree_pct
+    r.maxd
 
 let run () =
   Bench_common.header
     "precision presets: forward throughput vs output fidelity";
-  Printf.printf "  %-12s %-6s %10s %8s %10s %7s %8s %10s\n" "model" "preset"
-    "fwd ms" "vs f32" "pool KB" "packed" "top-1 %" "max|d|";
+  Printf.printf "  %-12s %-6s %8s %17s %8s %10s %7s %8s %10s\n" "model" "preset"
+    "fwd ms" "p10-p90 ms" "vs f32" "pool KB" "packed" "top-1 %" "max|d|";
   let json = ref [] in
   List.iter
     (fun (name, build) ->
       let name, t32, rows = run_model name build in
       List.iter
         (fun r ->
-          Printf.printf "  %-12s %-6s %10.2f %7.2fx %10.1f %7d %7d%% %10.3g\n"
-            name r.preset r.fwd_ms
-            (t32 *. 1e3 /. r.fwd_ms)
+          Printf.printf "  %-12s %-6s %8.2f %8.2f-%-8.2f %7.2fx %10.1f %7d %7d%% %10.3g\n"
+            name r.preset r.fwd_ms r.p10_ms r.p90_ms
+            (t32 /. r.fwd_ms)
             (float_of_int r.bytes /. 1e3)
             r.packed r.agree_pct r.maxd;
           json := json_row name r :: !json)
         rows)
     stock;
+  Bench_common.note
+    (Printf.sprintf
+       "fwd ms = median of %d rounds, each timing one forward per preset, \
+        alternating which goes first; vs f32 = f32 median / this median"
+       rounds);
   Bench_common.note
     "top-1 % = argmax agreement with the f32 run on identical inputs";
   let path = "precision_bench.json" in

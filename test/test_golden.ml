@@ -108,6 +108,59 @@ let kernel_census () =
     ];
   Buffer.contents rows
 
+(* The seven stock fleet scenarios over two small models (f32, 1 domain,
+   tuning cache off, seed 7): each run's summary line and its event
+   timeline. A Compiled event prints without its wall time and the
+   registry-key digest: the first is not simulated, and the second
+   fingerprints the compile options rather than the traffic. *)
+let fleet_scenarios () =
+  let event_line = function
+    | Fleet.Compiled { model; version; at; _ } ->
+        Printf.sprintf "t=%.6fs  %s: compiled v%d" at model version
+    | e -> Fleet.event_to_string e
+  in
+  let saved = Option.value ~default:"" (Sys.getenv_opt "LATTE_TUNE_CACHE") in
+  Unix.putenv "LATTE_TUNE_CACHE" "off";
+  Fun.protect ~finally:(fun () -> Unix.putenv "LATTE_TUNE_CACHE" saved)
+  @@ fun () ->
+  let config = Config.with_flags ~num_domains:1 ~precision:`F32 Config.default in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun name ->
+      let registry =
+        Registry.create
+          ~opts:(Executor.Run_opts.with_domains 1 Executor.Run_opts.default)
+          ()
+      in
+      let register model build =
+        let spec = build () in
+        Registry.register registry ~name:model ~seed:3 ~config
+          ~input_buf:(spec.Models.data_ens ^ ".value")
+          ~output_buf:(spec.Models.output_ens ^ ".value")
+          (fun () -> (build ()).Models.net);
+        (model, spec.Models.output_ens ^ ".value")
+      in
+      let models =
+        [
+          register "mlp" (fun () ->
+              Models.mlp ~batch:4 ~n_inputs:64 ~hidden:[ 16 ] ~n_classes:10);
+          register "lenet" (fun () ->
+              Models.lenet ~batch:4 ~image:16 ~n_classes:10 ());
+        ]
+      in
+      let sc = Scenario.stock ~models name in
+      let fleet =
+        Fleet.create ~faults:sc.Scenario.fleet_faults ~registry
+          ~tenants:sc.Scenario.tenants ()
+      in
+      let s = Scenario.run ~seed:7 fleet sc in
+      Printf.bprintf b "%s\n" (Scenario.summary_to_string s);
+      List.iter
+        (fun e -> Printf.bprintf b "  %s\n" (event_line e))
+        (Fleet.events fleet))
+    Scenario.names;
+  Buffer.contents b
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -159,4 +212,6 @@ let suite =
       (check_golden "lenet_races.txt" lenet_races);
     Alcotest.test_case "stock kernel census matches golden" `Quick
       (check_golden "kernel_census.txt" kernel_census);
+    Alcotest.test_case "stock fleet scenarios match golden" `Quick
+      (check_golden "fleet_scenarios.txt" fleet_scenarios);
   ]

@@ -32,9 +32,10 @@ let make_fleet ?faults ?(queue_cap = 64) () =
 
 let scenario ~label ?faults ?queue_cap ~rate ~deadline_ms () =
   let fleet = make_fleet ?faults ?queue_cap () in
-  Load_gen.run fleet ~tenant:"load" ~model:"mlp"
-    { Load_gen.n = 400; rate; deadline = deadline_ms /. 1e3; max_wait = 2e-3;
-      seed = 11 };
+  let rng = Rng.create 11 in
+  Scenario.drive rng fleet ~max_wait:2e-3
+    (Scenario.poisson rng ~tenant:"load" ~model:"mlp" ~n:400 ~rate
+       ~deadline:(deadline_ms /. 1e3));
   let m = Fleet.metrics fleet in
   let transitions =
     List.length (Breaker.transitions (Fleet.breaker fleet "mlp"))

@@ -137,7 +137,15 @@ let peak_rate sc st =
   in
   st.rate *. (1.0 +. sc.diurnal_amplitude) *. burst
 
-type arrival = { a_time : float; a_tenant : string; a_model : string }
+type arrival = {
+  a_time : float;
+  a_tenant : string;
+  a_model : string;
+  a_deadline : float option;
+}
+
+(* One exponential inter-arrival gap at [rate]: -ln(1-u)/rate. *)
+let gap rng rate = -.Float.log (1.0 -. Rng.float rng 1.0) /. rate
 
 let pick_model rng mix =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 mix in
@@ -158,37 +166,43 @@ let arrivals_of rng sc st =
   let acc = ref [] in
   let continue = ref true in
   while !continue do
-    t := !t +. (-.Float.log (1.0 -. Rng.float rng 1.0) /. peak);
+    t := !t +. gap rng peak;
     if !t >= sc.duration then continue := false
     else if Rng.float rng peak <= rate_at sc st ~now:!t then
       acc :=
-        { a_time = !t; a_tenant = st.s_tenant; a_model = pick_model rng st.mix }
+        { a_time = !t; a_tenant = st.s_tenant; a_model = pick_model rng st.mix;
+          a_deadline = None }
         :: !acc
   done;
   List.rev !acc
 
-let generate_arrivals rng sc =
+let arrivals rng sc =
   let per_stream = List.map (arrivals_of rng sc) sc.streams in
   let merged =
     List.stable_sort (fun a b -> compare a.a_time b.a_time) (List.concat per_stream)
   in
   Array.of_list merged
 
+let poisson rng ~tenant ~model ~n ~rate ~deadline =
+  if n <= 0 then invalid_arg (Printf.sprintf "Scenario.poisson: n %d <= 0" n);
+  if rate <= 0.0 then
+    invalid_arg (Printf.sprintf "Scenario.poisson: rate %g <= 0" rate);
+  let t = ref 0.0 in
+  Array.init n (fun _ ->
+      t := !t +. gap rng rate;
+      { a_time = !t; a_tenant = tenant; a_model = model;
+        a_deadline = Some (!t +. deadline) })
+
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ?rng ?(seed = 7) fleet sc =
-  validate sc;
-  let rng = match rng with Some r -> r | None -> Rng.create seed in
-  let arrivals = generate_arrivals rng sc in
+let drive ?(updates = []) rng fleet ~max_wait arrivals =
   let n = Array.length arrivals in
   let next = ref 0 in
-  let pending =
-    ref (List.stable_sort (fun a b -> compare a.at b.at) sc.updates)
-  in
+  let pending = ref (List.stable_sort (fun a b -> compare a.at b.at) updates) in
   (* Largest batch size among models touched so far: a full batch of any
-     hot model dispatches immediately, like Load_gen's full-batch rule. *)
+     hot model dispatches immediately. *)
   let full = ref 1 in
   let fire_due () =
     let rec go () =
@@ -211,7 +225,8 @@ let run ?rng ?(seed = 7) fleet sc =
       let numel = Fleet.item_numel fleet a.a_model in
       ignore
         (Fleet.submit fleet ~tenant:a.a_tenant ~model:a.a_model
-           (Load_gen.features rng ~numel));
+           ?deadline:a.a_deadline
+           (Array.init numel (fun _ -> Rng.float rng 1.0)));
       full := max !full (Fleet.batch_size fleet a.a_model);
       incr next
     done
@@ -253,9 +268,9 @@ let run ?rng ?(seed = 7) fleet sc =
          ignore (Fleet.pump fleet)
        else begin
          let waited = Option.value ~default:0.0 (Fleet.oldest_wait fleet) in
-         if waited >= sc.max_wait then ignore (Fleet.pump fleet)
+         if waited >= max_wait then ignore (Fleet.pump fleet)
          else begin
-           let dispatch_at = Fleet.now fleet +. (sc.max_wait -. waited) in
+           let dispatch_at = Fleet.now fleet +. (max_wait -. waited) in
            match next_event_time () with
            | Some te when te <= dispatch_at -> Fleet.advance_to fleet te
            | _ ->
@@ -266,8 +281,12 @@ let run ?rng ?(seed = 7) fleet sc =
       loop ()
     end
   in
-  loop ();
-  Fleet.drain fleet;
+  loop ()
+
+let run ?(seed = 7) fleet sc =
+  validate sc;
+  let rng = Rng.create seed in
+  drive ~updates:sc.updates rng fleet ~max_wait:sc.max_wait (arrivals rng sc);
   let m = Fleet.metrics fleet in
   {
     scenario = sc.name;

@@ -411,9 +411,10 @@ let test_load_gen_answers_everything () =
       ]
   in
   let server = make_server ~queue_capacity:8 ~cooldown:5e-4 ~faults () in
-  Load_gen.run server ~tenant:"client" ~model:"mlp"
-    { Load_gen.n = 120; rate = 50000.0; deadline = 2e-3; max_wait = 5e-4;
-      seed = 13 };
+  let rng = Rng.create 13 in
+  Scenario.drive rng server ~max_wait:5e-4
+    (Scenario.poisson rng ~tenant:"client" ~model:"mlp" ~n:120 ~rate:50000.0
+       ~deadline:2e-3);
   let m = Fleet.metrics server in
   Alcotest.(check int) "all submitted" 120 (Serve_metrics.submitted m);
   Alcotest.(check int) "every request answered" 120 (Serve_metrics.answered m);

@@ -1,7 +1,6 @@
 type t = {
   passes : string list;
   tile_size : int;
-  bounds_checks : bool;
   num_domains : int;
   precision : Precision.preset;
   schedule : Schedule.t option;
@@ -33,7 +32,6 @@ let default =
     passes =
       [ "layout"; "gemm"; "batch-gemm"; "fuse"; "tile"; "simplify"; "parallelize" ];
     tile_size = 4;
-    bounds_checks = true;
     num_domains = env.env_domains;
     precision = env.env_precision;
     schedule = None;
@@ -43,18 +41,15 @@ let unoptimized =
   {
     passes = [ "simplify" ];
     tile_size = 4;
-    bounds_checks = true;
     num_domains = 1;
     precision = `F32;
     schedule = None;
   }
 
-let with_flags ?passes ?tile_size ?bounds_checks ?num_domains ?precision ?schedule
-    t =
+let with_flags ?passes ?tile_size ?num_domains ?precision ?schedule t =
   {
     passes = Option.value ~default:t.passes passes;
     tile_size = Option.value ~default:t.tile_size tile_size;
-    bounds_checks = Option.value ~default:t.bounds_checks bounds_checks;
     num_domains = Option.value ~default:t.num_domains num_domains;
     precision = Option.value ~default:t.precision precision;
     schedule = (match schedule with Some s -> Some s | None -> t.schedule);

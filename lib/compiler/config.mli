@@ -12,11 +12,6 @@ type t = {
           fallback for every group a [schedule] does not name (and for
           all groups when [schedule = None]). Per-group targets come
           from {!Schedule.t}. *)
-  bounds_checks : bool;
-      (** Guard buffer accesses the {!Ir_bounds} analyzer cannot prove
-          in-bounds (proven accesses keep the unsafe fast path). On in
-          both presets; disable only for benchmarking the pure unsafe
-          path. *)
   num_domains : int;
       (** Worker domains for parallel-annotated loops (§5.4.3, the CLI's
           [--domains]): the count [Pipeline.compile_pair] prepares at
@@ -60,7 +55,6 @@ val of_env : unit -> env
 val with_flags :
   ?passes:string list ->
   ?tile_size:int ->
-  ?bounds_checks:bool ->
   ?num_domains:int ->
   ?precision:Precision.preset ->
   ?schedule:Schedule.t ->

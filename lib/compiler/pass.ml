@@ -212,7 +212,6 @@ let finish st =
         backward = bwd;
         params = plan.Synthesis.params;
         grad_sizes = plan.Synthesis.grad_sizes;
-        bounds_checks = st.config.Config.bounds_checks;
         schedule_descr;
       }
   | _ ->

@@ -107,7 +107,6 @@ let cache_key config prog =
   Tune_cache.key
     ~fingerprint:(Program.fingerprint prog)
     ~machine:(Tune_cache.machine_id ())
-    ~safety:(if config.Config.bounds_checks then "guard" else "unsafe")
     ~precision:(Precision.preset_to_string config.Config.precision)
     ~passes:
       (String.concat ","

@@ -13,9 +13,8 @@ type t
     {!prepare}, [Pipeline.compile_pair] and [Registry.create]. *)
 module Run_opts : sig
   type t = {
-    safety : Ir_compile.safety option;
-        (** [None] derives the policy from [Program.bounds_checks]
-            ([Guard_unproven] when on, [Unsafe] when off). *)
+    safety : Ir_compile.safety;
+        (** Bounds-check policy of the compiled sections. *)
     domains : int;
         (** Worker domains for parallel loops; clamped to [>= 1].
             [1] is pure sequential execution. {!prepare} runs at exactly
@@ -30,9 +29,9 @@ module Run_opts : sig
   }
 
   val default : t
-  (** [safety = None], [domains] from the [LATTE_DOMAINS] environment
-      variable (malformed or missing means 1, via {!Latte_env.domains}),
-      [token = None]. *)
+  (** [safety = Guard_unproven], [domains] from the [LATTE_DOMAINS]
+      environment variable (malformed or missing means 1, via
+      {!Latte_env.domains}), [token = None]. *)
 
   val with_domains : int -> t -> t
   val with_safety : Ir_compile.safety -> t -> t
@@ -46,8 +45,8 @@ val prepare : ?opts:Run_opts.t -> Program.t -> t
 val program : t -> Program.t
 
 val run_opts : t -> Run_opts.t
-(** The options this executor was prepared with, with [safety] resolved
-    and [domains] clamped. *)
+(** The options this executor was prepared with, with [domains]
+    clamped. *)
 
 val domains : t -> int
 

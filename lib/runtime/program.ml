@@ -18,7 +18,6 @@ type t = {
   backward : section list;
   params : param list;
   grad_sizes : (string * int) list;
-  bounds_checks : bool;
   schedule_descr : string option;
 }
 

@@ -30,9 +30,6 @@ type t = {
       (** Per-ensemble learnable-gradient element counts in backward
           completion order — what the distributed runtime synchronizes,
           in the order the asynchronous reductions are issued (§5.3). *)
-  bounds_checks : bool;
-      (** Whether the executor should guard accesses {!Ir_bounds} cannot
-          prove in-bounds (from {!Config.t.bounds_checks}). *)
   schedule_descr : string option;
       (** When an explicit or cached schedule override was set for
           the compile: its canonical description

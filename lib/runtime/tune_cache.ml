@@ -31,10 +31,9 @@ let machine_id () =
   Printf.sprintf "%s/%d-bit/%d-cores" Sys.os_type Sys.word_size
     (Domain.recommended_domain_count ())
 
-let key ~fingerprint ~machine ~safety ~precision ~passes =
+let key ~fingerprint ~machine ~precision ~passes =
   Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" [ fingerprint; machine; safety; precision; passes ]))
+    (Digest.string (String.concat "\x00" [ fingerprint; machine; precision; passes ]))
 
 let default_dir () =
   Filename.concat (Filename.get_temp_dir_name ()) "latte-tune-cache"

@@ -22,12 +22,11 @@ val machine_id : unit -> string
     different machine misses instead of mis-hitting. *)
 
 val key :
-  fingerprint:string -> machine:string -> safety:string -> precision:string ->
-  passes:string -> string
-(** A digest of its five parts. [Tuner.cache_key] is the one recipe that
-    fills them in ({!Program.fingerprint}, {!machine_id}, the
-    bounds-check mode, the execution precision and the normalized pass
-    list). *)
+  fingerprint:string -> machine:string -> precision:string -> passes:string ->
+  string
+(** A digest of its four parts. [Tuner.cache_key] is the one recipe that
+    fills them in ({!Program.fingerprint}, {!machine_id}, the execution
+    precision and the normalized pass list). *)
 
 val default_dir : unit -> string
 (** [<temp-dir>/latte-tune-cache], used when [LATTE_TUNE_CACHE] is

@@ -336,18 +336,17 @@ let run_opts_resolution () =
   in
   check_int "domains clamped" 1 (Executor.domains e0);
   (* opts.safety is honored. *)
-  let eu =
+  let ec =
     Executor.prepare
-      ~opts:(Executor.Run_opts.with_safety Ir_compile.Unsafe Executor.Run_opts.default)
+      ~opts:(Executor.Run_opts.with_safety Ir_compile.Checked Executor.Run_opts.default)
       prog
   in
   check "opts safety" true
-    ((Executor.run_opts eu).Executor.Run_opts.safety = Some Ir_compile.Unsafe);
-  (* With neither, the policy derives from Program.bounds_checks. *)
+    ((Executor.run_opts ec).Executor.Run_opts.safety = Ir_compile.Checked);
+  (* Without it, unproven accesses are guarded. *)
   let ed = Executor.prepare prog in
-  check "derived safety" true
-    ((Executor.run_opts ed).Executor.Run_opts.safety
-    = Some Ir_compile.Guard_unproven)
+  check "default safety" true
+    ((Executor.run_opts ed).Executor.Run_opts.safety = Ir_compile.Guard_unproven)
 
 let lookup_opt_cases () =
   let spec, prog = mlp_prog () in

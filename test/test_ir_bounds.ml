@@ -198,7 +198,7 @@ let test_guarded_compile_raises () =
       Alcotest.(check bool) "names the index" true
         (Test_util.contains msg "99")
 
-let test_unsafe_mode_unchecked_kernels () =
+let test_safety_modes_and_kernels () =
   (* A provable copy nest keeps the specialized kernel under the default
      safety; Checked mode forgoes it. *)
   let stmts =
@@ -413,14 +413,7 @@ let test_broken_pass_caught () =
   | () -> Alcotest.fail "expected Invalid_argument from the broken program"
   | exception Invalid_argument msg ->
       Alcotest.(check bool) "diagnostic names out-of-bounds" true
-        (Test_util.contains msg "out-of-bounds"));
-  (* Opting out of bounds checks is an explicit decision. *)
-  let unsafe =
-    Executor.prepare
-      ~opts:(Executor.Run_opts.with_safety Ir_compile.Unsafe Executor.Run_opts.default)
-      prog
-  in
-  Executor.forward unsafe
+        (Test_util.contains msg "out-of-bounds"))
 
 (* --- Ir_linear properties -------------------------------------- *)
 
@@ -457,7 +450,7 @@ let suite =
     Alcotest.test_case "flow checks" `Quick test_flow_checks;
     Alcotest.test_case "guarded compile raises" `Quick test_guarded_compile_raises;
     Alcotest.test_case "safety modes and kernels" `Quick
-      test_unsafe_mode_unchecked_kernels;
+      test_safety_modes_and_kernels;
     Alcotest.test_case "eval trace hook" `Quick test_eval_trace_hook;
     Alcotest.test_case "fuzz vs dynamic oracle" `Quick test_fuzz_no_false_proven;
     Alcotest.test_case "mlp fully proven" `Quick test_mlp_fully_proven;

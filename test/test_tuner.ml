@@ -133,8 +133,8 @@ let fresh_dir =
     in
     d
 
-let sample_key = Tune_cache.key ~fingerprint:"fp" ~machine:"m" ~safety:"guard"
-    ~precision:"f32" ~passes:"gemm"
+let sample_key =
+  Tune_cache.key ~fingerprint:"fp" ~machine:"m" ~precision:"f32" ~passes:"gemm"
 
 let test_cache_roundtrip () =
   let dir = fresh_dir () in
@@ -145,8 +145,8 @@ let test_cache_roundtrip () =
   | None -> Alcotest.fail "stored entry did not look up");
   Alcotest.(check bool) "unknown key misses" true
     (Tune_cache.lookup ~dir
-       ~key:(Tune_cache.key ~fingerprint:"other" ~machine:"m" ~safety:"guard"
-               ~precision:"f32" ~passes:"gemm")
+       ~key:(Tune_cache.key ~fingerprint:"other" ~machine:"m" ~precision:"f32"
+               ~passes:"gemm")
     = None)
 
 let entry_path dir = Filename.concat dir (sample_key ^ ".tune")

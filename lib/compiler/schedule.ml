@@ -29,7 +29,6 @@ let without_fusion label t =
   else { t with fuse_off = t.fuse_off @ [ label ] }
 
 let with_domains n t = { t with domains = Some n }
-let with_source source t = { t with source }
 
 let tile_for t label = List.assoc_opt label t.tiles
 let fused t label = not (List.mem label t.fuse_off)

@@ -43,7 +43,6 @@ val without_fusion : string -> t -> t
 (** Mark a fusion group to be split back into singleton units. *)
 
 val with_domains : int -> t -> t
-val with_source : source -> t -> t
 
 val tile_for : t -> string -> int option
 val fused : t -> string -> bool

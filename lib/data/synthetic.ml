@@ -92,8 +92,6 @@ let split ds ~at =
   in
   (mk 0 at, mk at (n - at))
 
-let batches_per_epoch ds ~batch = max 1 ((Tensor.shape ds.features).(0) / batch)
-
 let fill_batch ds ~batch_index ~data ~labels =
   let n = (Tensor.shape ds.features).(0) in
   let batch = (Tensor.shape data).(0) in
@@ -110,5 +108,3 @@ let fill_batch ds ~batch_index ~data ~labels =
     done;
     Tensor.set1 labels b (Tensor.get1 ds.labels src)
   done
-
-let random_images rng data = Tensor.fill_uniform rng data ~lo:0.0 ~hi:1.0

@@ -42,14 +42,8 @@ val split : dataset -> at:int -> dataset * dataset
 (** Train/eval split: the first [at] items and the rest (views, no
     copy). *)
 
-val batches_per_epoch : dataset -> batch:int -> int
-
 val fill_batch :
   dataset -> batch_index:int -> data:Tensor.t -> labels:Tensor.t -> unit
 (** Copy batch [batch_index] (wrapping around the dataset) into the
     network's data and label buffers; [data] has shape
     [batch; item dims...]. *)
-
-val random_images : Rng.t -> Tensor.t -> unit
-(** Fill a data buffer with uniform noise in [0, 1) — throughput
-    workloads only. *)

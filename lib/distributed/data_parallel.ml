@@ -135,5 +135,3 @@ let accuracy t ~data =
     ~data_buf:(w0.spec.Models.data_ens ^ ".value")
     ~label_buf:w0.spec.Models.label_buf
     ~output_buf:(w0.spec.Models.output_ens ^ ".value")
-
-let primary t = t.workers.(0).exec

@@ -56,5 +56,3 @@ val accuracy : t -> data:Synthetic.dataset -> float
 (** Top-1 accuracy of worker 0's replica (all replicas agree after a
     synchronized step; in lossy mode replicas share the final merged
     parameters). *)
-
-val primary : t -> Executor.t

@@ -86,13 +86,6 @@ type cost = { flops : float; bytes : float; parallel_iters : float }
 
 let zero_cost = { flops = 0.0; bytes = 0.0; parallel_iters = 1.0 }
 
-let add_cost a b =
-  {
-    flops = a.flops +. b.flops;
-    bytes = a.bytes +. b.bytes;
-    parallel_iters = Float.max a.parallel_iters b.parallel_iters;
-  }
-
 let rec fexpr_ops ~width_of e =
   (* (flops, load bytes) in one evaluation of the expression; each load
      moves the storage width of its buffer. *)

@@ -37,7 +37,6 @@ type cost = {
 }
 
 val zero_cost : cost
-val add_cost : cost -> cost -> cost
 
 val cost_of_stmts :
   ?bindings:(string * int) list ->

@@ -121,5 +121,3 @@ let stmts_to_string ss =
   let buf = Buffer.create 1024 in
   List.iter (pp_stmt buf 0) ss;
   Buffer.contents buf
-
-let pp_stmts fmt ss = Format.pp_print_string fmt (stmts_to_string ss)

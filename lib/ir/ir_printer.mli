@@ -6,5 +6,3 @@ val iexpr_to_string : Ir.iexpr -> string
 val fexpr_to_string : Ir.fexpr -> string
 val stmt_to_string : Ir.stmt -> string
 val stmts_to_string : Ir.stmt list -> string
-
-val pp_stmts : Format.formatter -> Ir.stmt list -> unit

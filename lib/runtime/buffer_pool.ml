@@ -15,14 +15,8 @@ let alloc t name shape =
   register t name { store = Tensor.store_of_f32 tensor; physical = name };
   tensor
 
-let alloc_store t name store =
-  register t name { store; physical = name };
-  store
-
 let adopt t name tensor =
   register t name { store = Tensor.store_of_f32 tensor; physical = name }
-
-let adopt_store t name store = register t name { store; physical = name }
 
 let find t name =
   match Hashtbl.find_opt t.tbl name with
@@ -125,12 +119,9 @@ let track pool =
     tracked_pools := pool :: !tracked_pools
 
 let release pool = tracked_pools := List.filter (fun p -> p != pool) !tracked_pools
-let tracked_count () = List.length !tracked_pools
 
 let charge_external bytes =
   external_bytes_r := max 0 (!external_bytes_r + bytes)
-
-let external_bytes () = !external_bytes_r
 
 let live_bytes () =
   List.fold_left (fun acc p -> acc + total_bytes p) !external_bytes_r
@@ -144,6 +135,3 @@ let set_budget b =
   budget_r := b
 
 let budget () = !budget_r
-
-let over_budget () =
-  match !budget_r with None -> 0 | Some b -> max 0 (live_bytes () - b)

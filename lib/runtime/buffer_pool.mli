@@ -20,13 +20,8 @@ val create : unit -> t
 val alloc : t -> string -> Shape.t -> Tensor.t
 (** Allocate a zero-filled f32 buffer. Raises on duplicates. *)
 
-val alloc_store : t -> string -> Tensor.store -> Tensor.store
-(** Register a packed allocation under its own name. *)
-
 val adopt : t -> string -> Tensor.t -> unit
 (** Register an externally created f32 tensor under [name]. *)
-
-val adopt_store : t -> string -> Tensor.store -> unit
 
 val alias : t -> string -> target:string -> shape:Shape.t -> Tensor.t
 (** Register [name] as a reshaped view of [target]'s storage; element
@@ -84,14 +79,9 @@ val track : t -> unit
 val release : t -> unit
 (** Stop counting this pool (e.g. on LRU eviction). Idempotent. *)
 
-val tracked_count : unit -> int
-(** How many pools are currently tracked. *)
-
 val charge_external : int -> unit
 (** Add [bytes] (may be negative to credit back; the balance clamps at
     0) of non-pool allocation to the ledger. *)
-
-val external_bytes : unit -> int
 
 val live_bytes : unit -> int
 (** External bytes + the {!total_bytes} of every tracked pool. *)
@@ -101,7 +91,3 @@ val set_budget : int option -> unit
     [Invalid_argument] on a non-positive budget. *)
 
 val budget : unit -> int option
-
-val over_budget : unit -> int
-(** How many bytes {!live_bytes} currently exceeds the budget by
-    (0 when under budget or no budget is set). *)

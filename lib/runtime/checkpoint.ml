@@ -155,12 +155,6 @@ let restore resolved =
     (fun (e, t) -> Array.iteri (fun i v -> Tensor.set1 t i v) e.data)
     resolved
 
-let load_buffers ~lookup path =
-  let entries = parse_file path in
-  let resolved = validate_against ~lookup path entries in
-  restore resolved;
-  List.map (fun e -> e.name) entries
-
 (* ------------------------------------------------------------------ *)
 (* Executor-level entry points                                         *)
 (* ------------------------------------------------------------------ *)

@@ -45,8 +45,3 @@ val save_buffers :
   ?faults:Fault.t -> lookup:(string -> Tensor.t) -> names:string list ->
   string -> unit
 (** Lower-level entry point: atomically write the given buffers. *)
-
-val load_buffers : lookup:(string -> Tensor.t) -> string -> string list
-(** Restore every buffer recorded in the file; returns their names.
-    Validates the whole file (including every shape against [lookup])
-    before writing to any tensor. *)

@@ -119,14 +119,6 @@ let section_factor t ~label =
       | _ -> acc)
     1.0 t.armed
 
-let slow_sections t =
-  List.filter_map
-    (fun a ->
-      match a.spec with
-      | Slow_section { label; factor } -> Some (label, factor)
-      | _ -> None)
-    t.armed
-
 let poison_outputs_at t ~forward =
   List.filter_map
     (fun a ->
@@ -156,14 +148,6 @@ let hang_seconds t ~forward ~label =
           acc +. seconds
       | _ -> acc)
     0.0 t.armed
-
-let hang_specs t =
-  List.filter_map
-    (fun a ->
-      match a.spec with
-      | Hang_section { label; seconds } -> Some (label, seconds)
-      | _ -> None)
-    t.armed
 
 (* Armed worker-domain deaths, as (worker, dispatch) pairs for
    Domain_pool.arm_kill. Firing is recorded by [note_domain_kill] when

@@ -112,9 +112,6 @@ val section_factor : t -> label:string -> float
     the product of the factors of every armed [Slow_section] whose label
     occurs as a substring of [label] (1.0 when none match). *)
 
-val slow_sections : t -> (string * float) list
-(** All armed [(label, factor)] slow-section entries. *)
-
 val poison_outputs_at : t -> forward:int -> string list
 (** Output buffers to corrupt right after fast-path forward [forward];
     one-shot, marks them fired and records events. *)
@@ -128,9 +125,6 @@ val hang_seconds : t -> forward:int -> label:string -> float
     forward [forward] from armed, un-fired [Hang_section]s whose label
     occurs as a substring of [label]; one-shot (marks them fired and
     records events). 0.0 when none match. *)
-
-val hang_specs : t -> (string * float) list
-(** All armed [(label, seconds)] hang-section entries (fired or not). *)
 
 val domain_kills : t -> (int * int) list
 (** All armed [(worker, at_dispatch)] domain-kill entries, for arming

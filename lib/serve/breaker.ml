@@ -32,7 +32,6 @@ let create ?(threshold = 1) ?(cooldown = 5e-3) () =
 let state t = t.state
 let to_string t = state_name t.state
 let threshold t = t.threshold
-let consecutive_failures t = t.streak
 
 let transit t ~now to_state reason =
   t.transitions <-

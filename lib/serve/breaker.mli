@@ -43,7 +43,6 @@ val to_string : t -> string
 (** The current state's name — what serving logs print. *)
 
 val threshold : t -> int
-val consecutive_failures : t -> int
 
 val allow_fast : t -> now:float -> bool
 (** May the next batch try the fast path? [`Closed] and [`Half_open]

@@ -78,17 +78,6 @@ type event =
   | Respawned of { model : string; at : float; workers : int; reason : string }
   | Mem_pressure of { at : float; bytes : int; evicted : int }
 
-let event_time = function
-  | Compiled e -> e.at
-  | Update_started e -> e.at
-  | Swapped e -> e.at
-  | Rolled_back e -> e.at
-  | Committed e -> e.at
-  | Breaker_moved e -> e.transition.Breaker.at
-  | Cancelled_batch e -> e.at
-  | Respawned e -> e.at
-  | Mem_pressure e -> e.at
-
 let event_to_string = function
   | Compiled { model; version; key; at; wall_seconds } ->
       Printf.sprintf "t=%.6fs  %s: compiled v%d as %s (%.0f ms wall)" at model

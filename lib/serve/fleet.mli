@@ -100,7 +100,6 @@ type event =
           ledger; [evicted] registry entries were dropped to get back
           under the budget. *)
 
-val event_time : event -> float
 val event_to_string : event -> string
 
 type t

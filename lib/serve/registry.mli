@@ -119,11 +119,6 @@ val get : t -> string -> version:int -> entry
     compiled pools are tracked in the process ledger and released on
     eviction. *)
 
-val projected_bytes : t -> string -> int option
-(** The model's measured per-entry footprint in bytes (fast + reference
-    pools at their declared storage widths); [None] before its first
-    compile. Raises [Invalid_argument] for an unregistered model. *)
-
 val enforce_budget : t -> int
 (** Evict LRU entries until [Buffer_pool.live_bytes] fits the process
     budget (no-op without one); returns the number evicted. Called by

@@ -12,56 +12,6 @@ let out_dim ~size ~kernel ~stride ~pad = ((size + (2 * pad) - kernel) / stride) 
 let out_height s = out_dim ~size:s.height ~kernel:s.kernel ~stride:s.stride ~pad:s.pad
 let out_width s = out_dim ~size:s.width ~kernel:s.kernel ~stride:s.stride ~pad:s.pad
 
-let col_shape s =
-  Shape.create [ s.channels * s.kernel * s.kernel; out_height s * out_width s ]
-
-let check_shapes s ~src ~dst =
-  let expect_src = Shape.create [ s.channels; s.height; s.width ] in
-  if not (Shape.equal (Tensor.shape src) expect_src) then
-    invalid_arg
-      (Printf.sprintf "Im2col: image shape %s, expected %s"
-         (Shape.to_string (Tensor.shape src))
-         (Shape.to_string expect_src));
-  if not (Shape.equal (Tensor.shape dst) (col_shape s)) then
-    invalid_arg
-      (Printf.sprintf "Im2col: col shape %s, expected %s"
-         (Shape.to_string (Tensor.shape dst))
-         (Shape.to_string (col_shape s)))
-
-let iter_taps s f =
-  let oh = out_height s and ow = out_width s in
-  let spatial = oh * ow in
-  for c = 0 to s.channels - 1 do
-    for ky = 0 to s.kernel - 1 do
-      for kx = 0 to s.kernel - 1 do
-        let row = (((c * s.kernel) + ky) * s.kernel) + kx in
-        for oy = 0 to oh - 1 do
-          let iy = (oy * s.stride) + ky - s.pad in
-          for ox = 0 to ow - 1 do
-            let ix = (ox * s.stride) + kx - s.pad in
-            let col_idx = (row * spatial) + (oy * ow) + ox in
-            let in_bounds = iy >= 0 && iy < s.height && ix >= 0 && ix < s.width in
-            let img_idx = (((c * s.height) + iy) * s.width) + ix in
-            f ~col_idx ~img_idx ~in_bounds
-          done
-        done
-      done
-    done
-  done
-
-let im2col s ~src ~dst =
-  check_shapes s ~src:src ~dst;
-  iter_taps s (fun ~col_idx ~img_idx ~in_bounds ->
-      let v = if in_bounds then Tensor.unsafe_get src img_idx else 0.0 in
-      Tensor.unsafe_set dst col_idx v)
-
-let col2im s ~src ~dst =
-  check_shapes s ~src:dst ~dst:src;
-  iter_taps s (fun ~col_idx ~img_idx ~in_bounds ->
-      if in_bounds then
-        Tensor.unsafe_set dst img_idx
-          (Tensor.unsafe_get dst img_idx +. Tensor.unsafe_get src col_idx))
-
 let col_shape_pm s =
   Shape.create [ out_height s * out_width s; s.kernel * s.kernel * s.channels ]
 

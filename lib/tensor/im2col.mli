@@ -1,10 +1,10 @@
-(** Image-to-column lowering for convolution.
+(** Image-to-column lowering for convolution, in the patch-major layout.
 
-    Converts a CHW image into the patch matrix used by GEMM-based
-    convolution, and the transpose (col2im) used for input gradients.
-    This is the data-copy task the Latte compiler synthesizes for
-    convolutional connection structures, and also the core of the
-    Caffe-like baseline's convolution. *)
+    Converts an HWC image into the patch matrix used by GEMM-based
+    convolution, one flattened receptive field per row, and the
+    transpose (col2im) used for input gradients. This is the data-copy
+    task the Latte compiler synthesizes for convolutional connection
+    structures, and the core of the Caffe-like baseline's convolution. *)
 
 type spec = {
   channels : int;
@@ -18,27 +18,16 @@ type spec = {
 val out_height : spec -> int
 val out_width : spec -> int
 
-val col_shape : spec -> Shape.t
-(** [(channels * kernel * kernel) x (out_height * out_width)]. *)
-
-val im2col : spec -> src:Tensor.t -> dst:Tensor.t -> unit
-(** [src] has shape [channels x height x width]; [dst] has {!col_shape}.
-    Out-of-image taps (padding) read as zero. *)
-
-val col2im : spec -> src:Tensor.t -> dst:Tensor.t -> unit
-(** Scatter-accumulate the patch matrix back into an image: [dst] is
-    NOT cleared first, so gradients accumulate, matching the
-    [+=] semantics of synthesized backward code. *)
-
 val col_shape_pm : spec -> Shape.t
-(** Patch-major layout: [(out_height * out_width) x (kernel * kernel *
-    channels)] with the image in HWC order — each row is one flattened
-    receptive field. This is the layout whose GEMMs hit the fast packed
-    row-major kernels. *)
+(** [(out_height * out_width) x (kernel * kernel * channels)]: each row
+    is one receptive field, its taps in (ky, kx, channel) order. *)
 
 val im2col_pm : spec -> src:Tensor.t -> dst:Tensor.t -> unit
 (** [src] has HWC shape [height x width x channels]; [dst] has
-    {!col_shape_pm}. *)
+    {!col_shape_pm}. Out-of-image taps (padding) read as zero. Raises
+    [Invalid_argument] when either shape is wrong. *)
 
 val col2im_pm : spec -> src:Tensor.t -> dst:Tensor.t -> unit
-(** Patch-major scatter-accumulate back into an HWC image. *)
+(** Scatter-accumulate the patch matrix back into an HWC image: [dst]
+    is NOT cleared first, so gradients accumulate, matching the [+=]
+    semantics of synthesized backward code. *)

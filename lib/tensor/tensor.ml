@@ -104,11 +104,6 @@ let map f t =
   done;
   t'
 
-let map_inplace f t =
-  for i = 0 to numel t - 1 do
-    unsafe_set t i (f (unsafe_get t i))
-  done
-
 let map2 f a b =
   if not (Shape.equal a.shape b.shape) then
     invalid_arg "Tensor.map2: shape mismatch";
@@ -217,17 +212,6 @@ let fill_xavier rng t ~fan_in ~fan_out =
   for i = 0 to numel t - 1 do
     unsafe_set t i (Rng.xavier rng ~fan_in ~fan_out)
   done
-
-let pp fmt t =
-  let n = numel t in
-  let shown = min n 8 in
-  Format.fprintf fmt "Tensor<%s>[" (Shape.to_string t.shape);
-  for i = 0 to shown - 1 do
-    if i > 0 then Format.fprintf fmt "; ";
-    Format.fprintf fmt "%g" (unsafe_get t i)
-  done;
-  if n > shown then Format.fprintf fmt "; ...";
-  Format.fprintf fmt "]"
 
 (* ------------------------------------------------------------------ *)
 (* Packed stores: a tensor of any storage precision                    *)

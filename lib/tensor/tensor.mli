@@ -80,7 +80,6 @@ val sub_left : t -> int -> t
 val init : Shape.t -> (int array -> float) -> t
 
 val map : (float -> float) -> t -> t
-val map_inplace : (float -> float) -> t -> unit
 val map2 : (float -> float -> float) -> t -> t -> t
 
 val iteri : (int -> float -> unit) -> t -> unit
@@ -111,9 +110,6 @@ val max_abs_diff : t -> t -> float
 val fill_uniform : Rng.t -> t -> lo:float -> hi:float -> unit
 val fill_gaussian : Rng.t -> t -> mean:float -> sigma:float -> unit
 val fill_xavier : Rng.t -> t -> fan_in:int -> fan_out:int -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Prints the shape and first few elements; for debugging and tests. *)
 
 (** {1 Packed stores}
 

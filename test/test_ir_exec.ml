@@ -317,17 +317,52 @@ let gen_program =
            return (Select (Fcmp (Cgt, c1, c2), a, b)));
         ]
   in
-  let* depth = int_range 1 2 in
-  let vars = [ ("x", dims.(0)); ("y", dims.(1)); ("z", dims.(2)) ] in
-  let* value = gen_fexpr vars depth in
-  let* idx = gen_idx3 vars in
-  let* acc_kind = int_range 0 2 in
-  let body =
-    match acc_kind with
-    | 0 -> Ir.store "dst" idx value
-    | 1 -> Ir.accum "dst" idx value
-    | _ -> Ir.accum_max "dst" idx value
+  let random_leaf =
+    let* depth = int_range 1 2 in
+    let vars = [ ("x", dims.(0)); ("y", dims.(1)); ("z", dims.(2)) ] in
+    let* value = gen_fexpr vars depth in
+    let* idx = gen_idx3 vars in
+    let* acc_kind = int_range 0 2 in
+    return
+      (match acc_kind with
+      | 0 -> Ir.store "dst" idx value
+      | 1 -> Ir.accum "dst" idx value
+      | _ -> Ir.accum_max "dst" idx value)
   in
+  (* The leaf shapes the specialized kernels match. Each index is affine
+     (the loop variable of its dimension or a constant), so the strided
+     compiler takes the nest; [inner] decides whether dimension 2 steps
+     with the innermost loop. *)
+  let affine_idx ~inner =
+    let pick var = oneof [ return (Ir.var var); map Ir.int_ (int_range 0 2) ] in
+    let* a = pick "x" and* b = pick "y" in
+    let* c = if inner then return (Ir.var "z") else map Ir.int_ (int_range 0 2) in
+    return [ a; b; c ]
+  in
+  let any_idx = bool >>= fun inner -> affine_idx ~inner in
+  let load_src = map (Ir.load "src") any_idx in
+  let kernel_leaf =
+    oneof
+      [
+        (* copy_strided *)
+        map2 (Ir.store "dst") any_idx load_src;
+        (* acc_add *)
+        map2 (Ir.accum "dst") any_idx load_src;
+        (* acc_max *)
+        map2 (Ir.accum_max "dst") any_idx load_src;
+        (* relu: the source steps like the destination *)
+        (let* inner = bool in
+         let* d = affine_idx ~inner and* s = affine_idx ~inner in
+         let* c = oneofl [ 0.0; 0.5; -1.0 ] in
+         return (Ir.store "dst" d (Fbinop (Fmax, Ir.load "src" s, Ir.f c))));
+        (* fma into a destination that does not stride in the innermost
+           loop: a dot product *)
+        (let* d = affine_idx ~inner:false in
+         let* a = load_src and* b = map (Ir.load "src2") any_idx in
+         return (Ir.accum "dst" d (Fbinop (Fmul, a, b))));
+      ]
+  in
+  let* body = frequency [ (1, random_leaf); (1, kernel_leaf) ] in
   return
     [
       Ir.loop "x" (Iconst 0) (Iconst dims.(0))
@@ -357,9 +392,10 @@ let print_case (plan, stmts) =
 
 (* Every storage plan must match bit for bit: each kernel performs the
    interpreter's float operations in the interpreter's order. [src]
-   carries NaN, infinities and signed zeros at fixed positions. *)
-let prop_compiled_matches_interpreted =
-  QCheck.Test.make ~count:300 ~name:"compiled = interpreted on random nests"
+   carries NaN, infinities and signed zeros at fixed positions. Each
+   compile's [kernel_stats] are added into [reached]. *)
+let prop_compiled_matches_interpreted reached =
+  QCheck.Test.make ~count:500 ~name:"compiled = interpreted on random nests"
     (QCheck.make ~print:print_case (QCheck.Gen.pair gen_plan gen_program))
     (fun (plan, stmts) ->
       let env1 = make_env 99 in
@@ -378,6 +414,11 @@ let prop_compiled_matches_interpreted =
         Ir_compile.compile ~lookup:(Buffer_pool.lookup env2)
           ~store_of:(Buffer_pool.store env2) stmts
       in
+      List.iter
+        (fun (k, n) ->
+          let seen = Option.value ~default:0 (Hashtbl.find_opt reached k) in
+          Hashtbl.replace reached k (seen + n))
+        (Ir_compile.kernel_stats compiled);
       Ir_compile.run compiled ();
       let bits x = Int64.bits_of_float x in
       List.for_all
@@ -387,6 +428,22 @@ let prop_compiled_matches_interpreted =
             (fun u w -> Int64.equal (bits u) (bits w))
             (Tensor.to_array x) (Tensor.to_array y))
         [ "dst"; "acc" ])
+
+(* The property under a fixed seed. A kernel that changes float order
+   is caught only on the nests it compiles, so each kept kernel must be
+   compiled at least [floor] times over the run. *)
+let test_random_nests () =
+  let reached = Hashtbl.create 16 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 22 |])
+    (prop_compiled_matches_interpreted reached);
+  let floor = 10 in
+  List.iter
+    (fun kernel ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt reached kernel) in
+      if n < floor then
+        Alcotest.failf "random nests reached the %s kernel %d times (floor %d)"
+          kernel n floor)
+    [ "copy_strided"; "relu"; "acc_add"; "acc_max"; "fma" ]
 
 (* Integer expressions compile from their linear normal form. Five
    variables make sums of more than three variable terms common, so
@@ -504,6 +561,7 @@ let suite =
     Alcotest.test_case "float_of_int" `Quick test_float_of_int;
     Alcotest.test_case "free vars" `Quick test_free_vars;
     Alcotest.test_case "stock models: compiled = Ir_eval" `Slow test_stock_directions;
-    QCheck_alcotest.to_alcotest prop_compiled_matches_interpreted;
+    Alcotest.test_case "compiled = interpreted on random nests" `Quick
+      test_random_nests;
     QCheck_alcotest.to_alcotest prop_compiled_index_matches_reference;
   ]

@@ -43,11 +43,12 @@ val run : ?deadline_s:float -> t -> (int -> unit) -> unit
     job on the same pool.
 
     With [deadline_s], the caller polls the barrier against a wall-clock
-    bound instead of blocking on the condition variable (the serving
-    layer derives the bound from [Cost_model.estimate_sections] × a
-    slack factor); on expiry the stuck workers are abandoned and
-    respawned and {!Hung} is raised. Without it the barrier wait is a
-    pure condvar wait — the watchdog costs nothing unless armed. *)
+    bound instead of blocking on the condition variable; on expiry the
+    stuck workers are abandoned and respawned and {!Hung} is raised.
+    Without it the barrier wait is a pure condvar wait — the watchdog
+    costs nothing unless armed. No library caller arms it: the serving
+    watchdog is [Fleet]'s cancellation token, checked against the
+    simulated clock. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains (abandoned zombies included).

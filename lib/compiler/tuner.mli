@@ -52,8 +52,7 @@ val cache_key : Config.t -> Program.t -> string
 (** [cache_key config prog] is the tuning-cache key for [prog]'s network
     compiled under [config]: a digest of {!Program.fingerprint} (the
     same for every compile of one net), {!Tune_cache.machine_id}, the
-    config's bounds-check mode, its precision and its
-    {!Config.normalize}d pass list, so a schedule tuned under one pass
+    config's precision and its {!Config.normalize}d pass list, so a schedule tuned under one pass
     set is never applied under another. {!tune} stores under it and
     {!Pipeline.compile_pair} looks up under it. *)
 

@@ -11,10 +11,12 @@
     which is the moral equivalent of the vectorization pragmas Latte
     attaches for the C++ compiler; every other strided loop runs a
     generic loop that performs {!Ir_eval}'s float operations in
-    {!Ir_eval}'s order. Packed (int8) innermost loops run in the same
-    strided compiler, loading through the store's reader and storing
-    through its writer; only unproven or non-strided loops take the
-    per-node closure path.
+    {!Ir_eval}'s order. int8 innermost loops run in the same strided
+    compiler: an int8 load decodes inline, and four kernels write int8
+    codes inline (an encoding copy from f32, a code copy between equal
+    codes, a constant fill and a max-accumulate); any other int8
+    destination is written through the store's writer. Only unproven or
+    non-strided loops take the per-node closure path.
 
     Loops compute {!Ir_eval}'s results bit for bit, which the test suite
     checks on random nests; f32 GEMMs call the blocked {!Blas.gemm}
@@ -131,10 +133,12 @@ val run : compiled -> ?bindings:(string * int) list -> unit -> unit
 val kernel_stats : compiled -> (string * int) list
 (** Code-generation counters. Each innermost loop the strided compiler
     emits counts under its kernel kind: a specialized f32 kernel
-    (["copy_strided"], ["relu"], ["acc_add"], ["acc_max"], ["fma"]), ["generic"] for an f32 destination no kernel
-    matched, or ["decoded"] for a packed destination (written through
-    the store's writer). Loops on the closure path are not counted. The
-    other counters are accesses (["guarded"]) and GEMMs
+    (["copy_strided"], ["relu"], ["acc_add"], ["acc_max"], ["fma"]),
+    ["generic"] for an f32 destination no kernel matched, an int8
+    kernel (["i8_encode"], ["i8_copy"], ["i8_fill"], ["i8_max"]), or
+    ["decoded"] for an int8 destination no kernel matched (written
+    through the store's writer). Loops on the closure path are not
+    counted. The other counters are accesses (["guarded"]) and GEMMs
     (["guarded_gemm"]) given a runtime check, packed GEMMs by {!Qblas}
     kernel name, and parallel-loop decisions (["par_loop"],
     ["par_replay"], ["par_fallback"]). Used by tests to pin down that

@@ -11,13 +11,9 @@
    op(A) is m x k and op(B) is k x n as in {!Blas}; [transa] means A is
    stored k x m. C is always m x n at [off_c]. *)
 
-type i8 = (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 let ug = Tensor.buffer_get
 let us = Tensor.buffer_set
-
-(* The int8 twin of [ug]: typed, so it compiles to an inline load. *)
-external ug8 : i8 -> int -> int = "%caml_ba_unsafe_ref_1"
+let ug8 = Tensor.buffer_get_i8
 
 (* Strides of op(A)[i,p]: (per-i, per-p). *)
 let strides_a ~transa ~m ~k = if transa then (1, m) else (k, 1)
@@ -53,8 +49,8 @@ let kernel_name a b c =
    keeps eight integer accumulators, as {!Blas}'s dot kernel does with
    doubles; integer sums are exact, so the blocking moves no bit and the
    m mod 4 and n mod 2 tails take one dot product each. *)
-let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a ~qb
-    ~(b : i8) ~off_b ~(c : Tensor.buffer) ~off_c =
+let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : Tensor.buffer_i8)
+    ~off_a ~qb ~(b : Tensor.buffer_i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
   let za = qa.Precision.zero_point and zb = qb.Precision.zero_point in
@@ -119,7 +115,7 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : i8) ~off_a ~qb
 
 (* Weight-only int8: f32 activations against int8 weights (B). *)
 let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
-    ~(b : i8) ~off_b ~(c : Tensor.buffer) ~off_c =
+    ~(b : Tensor.buffer_i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
   let zb = qb.Precision.zero_point in

@@ -10,8 +10,9 @@
     are bit-identical to it.
 
     Like {!Blas}, no kernel checks bounds: f32 operands load through
-    {!Tensor.buffer_get}, int8 operands through the int8 twin of it, and
-    packed operands through {!Tensor.store_reader}, all unchecked.
+    {!Tensor.buffer_get}, int8 operands through
+    {!Tensor.buffer_get_i8}, and packed operands through
+    {!Tensor.store_reader}, all unchecked.
     Callers keep each operand span inside its store, exactly as for
     {!Blas.gemm}. *)
 

@@ -16,6 +16,14 @@ type t = (float, Bigarray.float32_elt) gen
 external buffer_get : buffer -> int -> float = "%caml_ba_unsafe_ref_1"
 external buffer_set : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
+type buffer_i8 =
+  (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external buffer_get_i8 : buffer_i8 -> int -> int = "%caml_ba_unsafe_ref_1"
+
+external buffer_set_i8 : buffer_i8 -> int -> int -> unit
+  = "%caml_ba_unsafe_set_1"
+
 let create shape =
   let n = Shape.numel shape in
   let data = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in

@@ -35,6 +35,19 @@ external buffer_set : buffer -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 (** The store twin of {!buffer_get}: an inline store that rounds to
     float32 and never checks bounds. *)
 
+type buffer_i8 =
+  (int, Bigarray.int8_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external buffer_get_i8 : buffer_i8 -> int -> int = "%caml_ba_unsafe_ref_1"
+(** The int8 pair: an inline, unchecked load of one signed code, as
+    {!buffer_get} is for f32. [Qblas]'s integer GEMMs and [Ir_compile]'s
+    int8 loops bind it. *)
+
+external buffer_set_i8 : buffer_i8 -> int -> int -> unit
+  = "%caml_ba_unsafe_set_1"
+(** The store twin of {!buffer_get_i8}: an inline, unchecked store of a
+    code in [\[-128, 127\]]. *)
+
 val create : Shape.t -> t
 (** Zero-initialized tensor. *)
 

@@ -360,6 +360,9 @@ let gen_program =
         (let* d = affine_idx ~inner:false in
          let* a = load_src and* b = map (Ir.load "src2") any_idx in
          return (Ir.accum "dst" d (Fbinop (Fmul, a, b))));
+        (* a constant store, as a max-pool's initializer *)
+        (let* c = oneofl [ neg_infinity; 0.5; -1.0 ] in
+         map (fun d -> Ir.store "dst" d (Ir.f c)) any_idx);
       ]
   in
   let* body = frequency [ (1, random_leaf); (1, kernel_leaf) ] in
@@ -372,22 +375,29 @@ let gen_program =
         ];
     ]
 
-(* Storage plans: the buffers packed at int8. Everything f32, or dst
-   packed with src and src2 each packed or left f32, so f32 operands
-   feed a packed destination too. [dst] is packed in every packed plan,
-   so its loops run decoded in both paths with the same float
-   operations in the same order. *)
+(* Storage plans: the buffers packed at int8, each with the absmax its
+   code is calibrated to. Everything f32, or dst packed with src and
+   src2 each packed or left f32, so f32 operands feed a packed
+   destination too. [src]'s absmax is [dst]'s or half of it, so an int8
+   copy into [dst] either keeps the code or re-encodes it. *)
 let gen_plan =
   let open QCheck.Gen in
-  let maybe b = map (fun packed -> if packed then [ b ] else []) bool in
+  let maybe b absmax =
+    map (fun packed -> if packed then [ (b, absmax) ] else []) bool
+  in
   oneof
     [
       return [];
-      map2 (fun s s2 -> s @ s2 @ [ "dst" ]) (maybe "src") (maybe "src2");
+      (let* src_absmax = oneofl [ 2.0; 1.0 ] in
+       map2
+         (fun s s2 -> s @ s2 @ [ ("dst", 2.0) ])
+         (maybe "src" src_absmax) (maybe "src2" 2.0));
     ]
 
 let print_case (plan, stmts) =
-  Printf.sprintf "int8 storage [%s]\n%s" (String.concat ", " plan)
+  Printf.sprintf "int8 storage [%s]\n%s"
+    (String.concat ", "
+       (List.map (fun (b, absmax) -> Printf.sprintf "%s@%g" b absmax) plan))
     (Ir_printer.stmts_to_string stmts)
 
 (* Every storage plan must match bit for bit: each kernel performs the
@@ -395,17 +405,18 @@ let print_case (plan, stmts) =
    carries NaN, infinities and signed zeros at fixed positions. Each
    compile's [kernel_stats] are added into [reached]. *)
 let prop_compiled_matches_interpreted reached =
-  QCheck.Test.make ~count:500 ~name:"compiled = interpreted on random nests"
+  QCheck.Test.make ~count:1000 ~name:"compiled = interpreted on random nests"
     (QCheck.make ~print:print_case (QCheck.Gen.pair gen_plan gen_program))
     (fun (plan, stmts) ->
       let env1 = make_env 99 in
       plant_specials env1;
       let env2 = clone_env env1 in
       List.iter
-        (fun b ->
+        (fun (b, absmax) ->
           List.iter
             (fun env ->
-              Buffer_pool.repack env b ~qparams:(Precision.qparams_of_absmax 2.0))
+              Buffer_pool.repack env b
+                ~qparams:(Precision.qparams_of_absmax absmax))
             [ env1; env2 ])
         plan;
       Ir_eval.run ~lookup:(Buffer_pool.lookup env1)
@@ -443,7 +454,8 @@ let test_random_nests () =
       if n < floor then
         Alcotest.failf "random nests reached the %s kernel %d times (floor %d)"
           kernel n floor)
-    [ "copy_strided"; "relu"; "acc_add"; "acc_max"; "fma" ]
+    [ "copy_strided"; "relu"; "acc_add"; "acc_max"; "fma"; "i8_encode";
+      "i8_copy"; "i8_fill"; "i8_max" ]
 
 (* Integer expressions compile from their linear normal form. Five
    variables make sums of more than three variable terms common, so

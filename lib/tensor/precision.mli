@@ -43,7 +43,9 @@ val quantize : qparams -> float -> int
     [zero_point]. The clamp happens in float, before the conversion, so
     the result does not depend on the platform's [int_of_float]. For
     values inside the calibrated range,
-    [|dequantize qp (quantize qp v) - v| <= scale/2]. *)
+    [|dequantize qp (quantize qp v) - v| <= scale/2]. [Ir_compile]'s
+    int8 loops write this rule out inline; a test pins the two
+    together. *)
 
 val dequantize : qparams -> int -> float
 

@@ -20,27 +20,30 @@ let fill_random lookup net =
     Tensor.set1 labels i 0.0
   done
 
+(* Every forward timing, then every backward one. *)
+let time_both ~iters forward backward =
+  let fwd = Executor.time_run ~warmup:1 ~iters forward in
+  let bwd = Executor.time_run ~warmup:1 ~iters backward in
+  { fwd; bwd }
+
 let measure_latte ?(config = Config.default) ?opts ?(iters = 3) net =
   let prog = Pipeline.compile ~seed:1 config net in
   let exec = Executor.prepare ?opts prog in
   fill_random (Executor.lookup exec) net;
-  let fwd = Executor.time_forward ~warmup:1 ~iters exec in
-  let bwd = Executor.time_backward ~warmup:1 ~iters exec in
-  ({ fwd; bwd }, exec)
+  ( time_both ~iters
+      (fun () -> Executor.forward exec)
+      (fun () -> Executor.backward exec),
+    exec )
 
 let measure_caffe ?(iters = 3) ~params_from net =
   let c = Caffe_like.of_net ~params_from net in
   fill_random (Caffe_like.lookup c) net;
-  let fwd = Caffe_like.time_forward ~warmup:1 ~iters c in
-  let bwd = Caffe_like.time_backward ~warmup:1 ~iters c in
-  { fwd; bwd }
+  time_both ~iters (fun () -> Caffe_like.forward c) (fun () -> Caffe_like.backward c)
 
 let measure_mocha ?(iters = 2) ~params_from net =
   let m = Mocha_like.of_net ~params_from net in
   fill_random (Mocha_like.lookup m) net;
-  let fwd = Mocha_like.time_forward ~warmup:1 ~iters m in
-  let bwd = Mocha_like.time_backward ~warmup:1 ~iters m in
-  { fwd; bwd }
+  time_both ~iters (fun () -> Mocha_like.forward m) (fun () -> Mocha_like.backward m)
 
 let modeled_time ?vectorized cpu config net dir =
   let prog = Pipeline.compile ~seed:1 config net in
@@ -54,3 +57,28 @@ let row label cols =
     (String.concat "  " (List.map (Printf.sprintf "%10.3g") cols))
 
 let note s = Printf.printf "  # %s\n" s
+
+(* Integers print exactly, other finite values to six significant
+   digits, and NaN or an infinity, which JSON cannot spell, as null. *)
+let number v =
+  if Float.is_integer v then Printf.sprintf "%.0f" v
+  else if Float.is_finite v then Printf.sprintf "%.6g" v
+  else "null"
+
+let emit ~bench ~case ~preset ?(scope = "") ?samples ?detail ~unit name value =
+  let spread =
+    match samples with
+    | None -> ""
+    | Some s ->
+        Printf.sprintf ",\"p10\":%s,\"p90\":%s,\"n\":%d"
+          (number (Executor.percentile 0.1 s))
+          (number (Executor.percentile 0.9 s))
+          (Array.length s)
+  in
+  let detail =
+    match detail with None -> "" | Some d -> Printf.sprintf ",\"detail\":%S" d
+  in
+  Printf.printf
+    "{\"bench\":%S,\"case\":%S,\"preset\":%S,\"scope\":%S,\"name\":%S,\
+     \"value\":%s,\"unit\":%S%s%s}\n"
+    bench case preset scope name (number value) unit spread detail

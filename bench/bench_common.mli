@@ -40,3 +40,42 @@ val row : string -> float list -> unit
     precision appropriate for speedups/throughputs). *)
 
 val note : string -> unit
+
+(** {1 Bench rows}
+
+    Every machine-readable result is one JSON object on its own stdout
+    line, and no bench opens a file. Its keys are fixed and always in
+    this order:
+
+    - ["bench"]: the bench ([scaling], [precision], [cancel], [tuned],
+      [fleet]);
+    - ["case"]: the stock model, or the fleet scenario;
+    - ["preset"]: the precision preset that ran ([f32] or [int8]);
+    - ["scope"]: what else the measurement was taken under, such as
+      ["domains=4"], else [""];
+    - ["name"] and ["value"]: one metric and its number;
+    - ["unit"]: [ms], [bytes], [%], [x] (a ratio), [count], [bool]
+      (1 or 0), or [""] when the number has none.
+
+    A row that summarizes repeated timings adds ["p10"], ["p90"] and
+    ["n"] ({!Executor.percentile}'s nearest rank over [n] samples), and
+    a row may end in a string ["detail"] (the tuned bench's winning
+    schedule). Integral values, counts and booleans among them, print
+    as integers, other numbers to six significant digits, and a
+    non-finite number as [null]. So
+    [grep '^{"bench":'] over any bench output collects its rows. *)
+
+val emit :
+  bench:string ->
+  case:string ->
+  preset:string ->
+  ?scope:string ->
+  ?samples:float array ->
+  ?detail:string ->
+  unit:string ->
+  string ->
+  float ->
+  unit
+(** [emit ~bench ~case ~preset ~unit name value] prints one row.
+    [samples] (in [unit]) adds their p10, p90 and count; [scope]
+    defaults to [""]. *)

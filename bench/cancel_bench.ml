@@ -3,8 +3,7 @@
    compiled into every section. The token is polled only at section
    entries and outermost loop iterations, so the overhead must stay
    within measurement noise — the acceptance bar is <= 1% on the total.
-   One human row per model plus machine-readable JSON rows, also written
-   to cancel_bench.json for CI capture. *)
+   One human row per model, followed by its bench rows. *)
 
 let stock_models : (string * (unit -> Models.spec)) list =
   let scale = { Models.image = 32; width_div = 8; fc_div = 32 } in
@@ -33,7 +32,6 @@ let run () =
     "cancellation-token overhead (armed token vs none, forward+backward)";
   Printf.printf "  %-12s %12s %12s %10s\n" "model" "plain ms" "token ms"
     "overhead";
-  let oc = open_out "cancel_bench.json" in
   let rows =
     List.map
       (fun (name, specf) ->
@@ -46,18 +44,13 @@ let run () =
         let overhead_pct = ((t1 /. t0) -. 1.0) *. 100.0 in
         Printf.printf "  %-12s %12.3f %12.3f %9.2f%%\n" name (t0 *. 1e3)
           (t1 *. 1e3) overhead_pct;
-        let json =
-          Printf.sprintf
-            "{\"bench\":\"cancel\",\"model\":%S,\"plain_ms\":%.3f,\
-             \"token_ms\":%.3f,\"overhead_pct\":%.2f}"
-            name (t0 *. 1e3) (t1 *. 1e3) overhead_pct
-        in
-        Printf.printf "  %s\n" json;
-        output_string oc (json ^ "\n");
+        let row = Bench_common.emit ~bench:"cancel" ~case:name ~preset:"f32" in
+        row ~unit:"ms" "plain_ms" (t0 *. 1e3);
+        row ~unit:"ms" "token_ms" (t1 *. 1e3);
+        row ~unit:"%" "overhead_pct" overhead_pct;
         (t0, t1))
       stock_models
   in
-  close_out oc;
   (* Aggregate on total time, not the per-model mean: the small models'
      relative jitter would otherwise dominate the average. *)
   let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in

@@ -158,8 +158,7 @@ let fig15 () =
     List.mapi
       (fun i (label, _) ->
         let ts = Array.of_list (List.map (fun run -> snd (List.nth run i)) runs) in
-        Array.sort Float.compare ts;
-        (label, ts.(Array.length ts / 2)))
+        (label, Executor.percentile 0.5 ts))
       (List.hd runs)
   in
   let lt = median_times latte_times and ct = median_times caffe_times in

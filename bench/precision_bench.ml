@@ -1,9 +1,8 @@
 (* Accuracy-vs-throughput across the precision presets: every stock
    model forwarded under f32 and int8 (post-training quantized params
    and activations), reporting forward time, storage footprint and
-   output fidelity against the f32 run on identical inputs. Also writes
-   a JSON artifact (one object per model/preset row) for CI trend
-   tracking. *)
+   output fidelity against the f32 run on identical inputs. Each table
+   row is followed by its bench rows. *)
 
 let scale = Bench_common.bench_scale
 
@@ -83,20 +82,12 @@ let max_delta outs_a outs_b =
 
 type row = {
   preset : string;
-  fwd_ms : float;  (** Median of the timed rounds. *)
-  p10_ms : float;
-  p90_ms : float;
+  fwd_ms : float array;  (** One forward per timed round. *)
   bytes : int;
   packed : int;
   agree_pct : int;
   maxd : float;
 }
-
-(* Nearest-rank percentile of an unsorted sample, [q] in [0, 1]. *)
-let percentile q xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(min (Array.length a - 1) (int_of_float (q *. float_of_int (Array.length a))))
 
 (* Both presets are timed in the same rounds, one forward each per
    round, and the one that goes first alternates: on a shared host,
@@ -106,9 +97,7 @@ let rounds = 21
 
 let time_interleaved exec32 exec8 =
   let time exec =
-    let t0 = Unix.gettimeofday () in
-    Executor.forward exec;
-    (Unix.gettimeofday () -. t0) *. 1e3
+    Executor.time_run ~warmup:0 ~iters:1 (fun () -> Executor.forward exec) *. 1e3
   in
   Executor.forward exec32;
   Executor.forward exec8;
@@ -123,10 +112,9 @@ let time_interleaved exec32 exec8 =
       t32 := time exec32 :: !t32
     end
   done;
-  let stats ts = (percentile 0.5 ts, percentile 0.1 ts, percentile 0.9 ts) in
-  (stats !t32, stats !t8)
+  (Array.of_list !t32, Array.of_list !t8)
 
-let run_model name build =
+let run_model build =
   (* f32 baseline *)
   let spec = build () in
   let prog32 = Pipeline.compile ~seed:1 Config.default spec.Models.net in
@@ -145,45 +133,46 @@ let run_model name build =
     Quantize.quantize ~feed:(feed exec8 spec8) ~keep exec8
   in
   let outs8 = eval_outputs exec8 spec8 in
-  let (m32, lo32, hi32), (m8, lo8, hi8) = time_interleaved exec32 exec8 in
+  let t32, t8 = time_interleaved exec32 exec8 in
   let f32 =
-    { preset = "f32"; fwd_ms = m32; p10_ms = lo32; p90_ms = hi32;
+    { preset = "f32"; fwd_ms = t32;
       bytes = Buffer_pool.total_bytes prog32.Program.buffers; packed = 0;
       agree_pct = 100; maxd = 0.0 }
   in
   let int8 =
-    { preset = "int8"; fwd_ms = m8; p10_ms = lo8; p90_ms = hi8;
+    { preset = "int8"; fwd_ms = t8;
       bytes = Buffer_pool.total_bytes prog8.Program.buffers; packed = packed8;
       agree_pct = fidelity ~base ~cand:(argmaxes exec8 outs8);
       maxd = max_delta outs32 outs8 }
   in
-  (name, m32, [ f32; int8 ])
-
-let json_row name (r : row) =
-  Printf.sprintf
-    "{\"model\":\"%s\",\"preset\":\"%s\",\"fwd_ms\":%.4f,\"p10_ms\":%.4f,\
-     \"p90_ms\":%.4f,\"rounds\":%d,\"bytes\":%d,\"packed\":%d,\
-     \"top1_agreement_pct\":%d,\"max_abs_delta\":%.6g}"
-    name r.preset r.fwd_ms r.p10_ms r.p90_ms rounds r.bytes r.packed r.agree_pct
-    r.maxd
+  [ f32; int8 ]
 
 let run () =
   Bench_common.header
     "precision presets: forward throughput vs output fidelity";
   Printf.printf "  %-12s %-6s %8s %17s %8s %10s %7s %8s %10s\n" "model" "preset"
     "fwd ms" "p10-p90 ms" "vs f32" "pool KB" "packed" "top-1 %" "max|d|";
-  let json = ref [] in
+  let pct = Executor.percentile in
   List.iter
     (fun (name, build) ->
-      let name, t32, rows = run_model name build in
+      let rows = run_model build in
+      let t32 = pct 0.5 (List.hd rows).fwd_ms in
       List.iter
         (fun r ->
+          let fwd = pct 0.5 r.fwd_ms in
           Printf.printf "  %-12s %-6s %8.2f %8.2f-%-8.2f %7.2fx %10.1f %7d %7d%% %10.3g\n"
-            name r.preset r.fwd_ms r.p10_ms r.p90_ms
-            (t32 /. r.fwd_ms)
+            name r.preset fwd (pct 0.1 r.fwd_ms) (pct 0.9 r.fwd_ms)
+            (t32 /. fwd)
             (float_of_int r.bytes /. 1e3)
             r.packed r.agree_pct r.maxd;
-          json := json_row name r :: !json)
+          let row =
+            Bench_common.emit ~bench:"precision" ~case:name ~preset:r.preset
+          in
+          row ~unit:"ms" ~samples:r.fwd_ms "fwd_ms" fwd;
+          row ~unit:"bytes" "pool_bytes" (float_of_int r.bytes);
+          row ~unit:"count" "packed" (float_of_int r.packed);
+          row ~unit:"%" "top1_agreement_pct" (float_of_int r.agree_pct);
+          row ~unit:"" "max_abs_delta" r.maxd)
         rows)
     stock;
   Bench_common.note
@@ -192,10 +181,4 @@ let run () =
         alternating which goes first; vs f32 = f32 median / this median"
        rounds);
   Bench_common.note
-    "top-1 % = argmax agreement with the f32 run on identical inputs";
-  let path = "precision_bench.json" in
-  let oc = open_out path in
-  output_string oc
-    ("[\n  " ^ String.concat ",\n  " (List.rev !json) ^ "\n]\n");
-  close_out oc;
-  Printf.printf "  wrote %s\n" path
+    "top-1 % = argmax agreement with the f32 run on identical inputs"

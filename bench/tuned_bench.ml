@@ -3,8 +3,8 @@
    runs are reproducible from a cold cache) and the winner's measured
    time is compared against the default schedule's. Bit-identity is
    asserted inside the tuner for every measured candidate, so every
-   reported speedup computes exactly the same outputs. Writes one JSON
-   object per model to tune_bench.json for CI trend tracking. *)
+   reported speedup computes exactly the same outputs. One human row per
+   model, followed by its bench rows. *)
 
 let scale = Bench_common.bench_scale
 
@@ -34,7 +34,6 @@ let run () =
   in
   Printf.printf "  %-10s %12s %12s %9s  %s\n" "model" "default-ms" "tuned-ms"
     "speedup" "winning schedule";
-  let json = Buffer.create 1024 in
   let improved = ref 0 in
   List.iter
     (fun (name, build) ->
@@ -49,19 +48,13 @@ let run () =
         (r.Tuner.default_seconds *. 1e3)
         (r.Tuner.tuned_seconds *. 1e3)
         speedup descr;
-      Buffer.add_string json
-        (Printf.sprintf
-           "{\"bench\":\"tuned\",\"model\":%S,\"default_ms\":%.6f,\
-            \"tuned_ms\":%.6f,\"speedup\":%.4f,\"schedule\":%S,\
-            \"trials\":%d,\"bit_identical\":true}\n"
-           name
-           (r.Tuner.default_seconds *. 1e3)
-           (r.Tuner.tuned_seconds *. 1e3)
-           speedup descr
-           (List.length r.Tuner.trials)))
+      let row = Bench_common.emit ~bench:"tuned" ~case:name ~preset:"f32" in
+      row ~unit:"ms" "default_ms" (r.Tuner.default_seconds *. 1e3);
+      row ~unit:"ms" "tuned_ms" ~detail:descr (r.Tuner.tuned_seconds *. 1e3);
+      row ~unit:"x" "speedup" speedup;
+      row ~unit:"count" "trials" (float_of_int (List.length r.Tuner.trials));
+      (* The tuner rejects every candidate whose outputs differ from
+         the default's, so the winner's are identical. *)
+      row ~unit:"bool" "bit_identical" 1.0)
     stock;
-  let oc = open_out "tune_bench.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  Printf.printf "  # %d/%d models improved; rows written to tune_bench.json\n"
-    !improved (List.length stock)
+  Printf.printf "  # %d/%d models improved\n" !improved (List.length stock)

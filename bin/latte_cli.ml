@@ -834,14 +834,14 @@ let bench model size config verify =
       | _ -> ())
     (Net.ensembles net);
   Tensor.fill (Executor.lookup exec "label") 0.0;
-  let lf = Executor.time_forward ~warmup:1 ~iters:3 exec in
-  let lb = Executor.time_backward ~warmup:1 ~iters:3 exec in
+  let lf = Executor.time_run (fun () -> Executor.forward exec) in
+  let lb = Executor.time_run (fun () -> Executor.backward exec) in
   let caffe_net = fresh () in
   let caffe = Caffe_like.of_net ~params_from:exec caffe_net in
   Tensor.fill_uniform rng (Caffe_like.lookup caffe "data.value") ~lo:0.0 ~hi:1.0;
   Tensor.fill (Caffe_like.lookup caffe "label") 0.0;
-  let cf = Caffe_like.time_forward ~warmup:1 ~iters:3 caffe in
-  let cb = Caffe_like.time_backward ~warmup:1 ~iters:3 caffe in
+  let cf = Executor.time_run (fun () -> Caffe_like.forward caffe) in
+  let cb = Executor.time_run (fun () -> Caffe_like.backward caffe) in
   Printf.printf "%-14s %12s %12s\n" "" "forward" "backward";
   Printf.printf "%-14s %10.2f ms %10.2f ms\n" "latte" (lf *. 1e3) (lb *. 1e3);
   Printf.printf "%-14s %10.2f ms %10.2f ms\n" "caffe-like" (cf *. 1e3) (cb *. 1e3);
@@ -888,7 +888,7 @@ let bench model size config verify =
           if d > !max_delta then max_delta := d
         done
       done;
-      let qf = Executor.time_forward ~warmup:1 ~iters:3 exec in
+      let qf = Executor.time_run (fun () -> Executor.forward exec) in
       Printf.printf
         "%-14s %10.2f ms %11s  (%.2fx vs f32 forward)\n" "latte-int8"
         (qf *. 1e3) "-" (lf /. qf);

@@ -370,21 +370,3 @@ let backward_timed t =
     acc := timed st.layer.ens.Ensemble.name (fun () -> backward_layer t st) :: !acc
   done;
   !acc
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let time_run ?(warmup = 1) ?(iters = 3) f =
-  for _ = 1 to warmup do
-    f ()
-  done;
-  median
-    (Array.init iters (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         f ();
-         Unix.gettimeofday () -. t0))
-
-let time_forward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> forward t)
-let time_backward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> backward t)

@@ -32,6 +32,3 @@ val forward_timed : t -> (string * float) list
 (** Per-layer (ensemble label, seconds). *)
 
 val backward_timed : t -> (string * float) list
-
-val time_forward : ?warmup:int -> ?iters:int -> t -> float
-val time_backward : ?warmup:int -> ?iters:int -> t -> float

@@ -303,21 +303,3 @@ let backward t =
   for i = Array.length t.layers - 1 downto 0 do
     backward_layer t t.layers.(i)
   done
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-let time_run ?(warmup = 1) ?(iters = 3) f =
-  for _ = 1 to warmup do
-    f ()
-  done;
-  median
-    (Array.init iters (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         f ();
-         Unix.gettimeofday () -. t0))
-
-let time_forward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> forward t)
-let time_backward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> backward t)

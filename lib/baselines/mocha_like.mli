@@ -14,5 +14,3 @@ val batch_size : t -> int
 val lookup : t -> string -> Tensor.t
 val forward : t -> unit
 val backward : t -> unit
-val time_forward : ?warmup:int -> ?iters:int -> t -> float
-val time_backward : ?warmup:int -> ?iters:int -> t -> float

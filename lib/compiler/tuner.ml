@@ -147,7 +147,9 @@ let tune ?(budget = Medium) ?(seed = 1) ?max_domains ?(use_cache = true)
   let measure_exec =
     match measure with
     | Some f -> f
-    | None -> fun exec -> Executor.time_forward ~warmup:1 ~iters exec
+    | None ->
+        fun exec ->
+          Executor.time_run ~warmup:1 ~iters (fun () -> Executor.forward exec)
   in
   let eval ?domains prog =
     let exec = prepare ?domains prog in

@@ -82,7 +82,7 @@ val tune :
     the [LATTE_TUNE_CACHE]-derived location; [force] re-tunes and
     overwrites an existing entry. [machine] is the cost model used for
     pruning only — measurement happens on the host. [measure] replaces
-    the wall-clock measurement (median-of-k {!Executor.time_forward})
-    with a caller-supplied one — the determinism tests inject a
+    the wall-clock measurement ({!Executor.time_run}'s median of k
+    forwards) with a caller-supplied one — the determinism tests inject a
     synthetic deterministic measure here. [log] receives the search
     trace one line at a time. *)

@@ -386,8 +386,7 @@ let rec eval_sval v i =
   | Sconst x -> x
   | Sload a -> ug a.data (a.b + (i * a.stride))
   | Sdecode (a, qp) ->
-      let q = ug8 a.data (a.b + (i * a.stride)) in
-      qp.Precision.scale *. float_of_int (q - qp.Precision.zero_point)
+      qp.Precision.scale *. float_of_int (ug8 a.data (a.b + (i * a.stride)))
   | Sunop (op, a) -> apply_unop op (eval_sval a i)
   | Sbinop (Fadd, a, b) -> eval_sval a i +. eval_sval b i
   | Sbinop (Fmul, a, b) -> eval_sval a i *. eval_sval b i
@@ -477,15 +476,15 @@ let rec collapse_loop ctx (l : loop) =
 
 (* [Precision.quantize], written out so that each int8 loop encodes
    inline: under dune's [-opaque] a call into [Precision] is out of line
-   and boxes its float argument. [zf] is [float_of_int z]. A test pins
-   it to [Precision.quantize] on NaN, the infinities, both zeros, the
-   half-way points and both clamp ends. *)
-let[@inline] encode ~scale ~zf ~z v =
-  let q = Float.round (v /. scale) +. zf in
+   and boxes its float argument. A test pins it to [Precision.quantize]
+   on NaN, the infinities, both zeros, the half-way points and both
+   clamp ends. *)
+let[@inline] encode ~scale v =
+  let q = Float.round (v /. scale) in
   if q >= -128.0 && q <= 127.0 then int_of_float q
   else if q > 127.0 then 127
   else if q < -128.0 then -128
-  else z
+  else 0
 
 (* The code-domain loops (code copy, max) need a positive scale, so that
    encode is monotone, and [encode (decode q) = q] for all 256 codes.
@@ -529,8 +528,7 @@ let compile_fast_loop ctx (l : loop) =
   match st with
   | Tensor.Store (Precision.I8, qp, g) -> (
       let dd = g.Tensor.data in
-      let scale = qp.Precision.scale and z = qp.Precision.zero_point in
-      let zf = float_of_int z in
+      let scale = qp.Precision.scale in
       match (kind, sv) with
       | Dstore, Sload s ->
           (* A gather from f32 data. *)
@@ -541,7 +539,7 @@ let compile_fast_loop ctx (l : loop) =
             let db = dbase () and sb = s.base () in
             for i = lo to hi - 1 do
               us8 dd (db + (i * dstride))
-                (encode ~scale ~zf ~z (ug s.data (sb + (i * ss))))
+                (encode ~scale (ug s.data (sb + (i * ss))))
             done
       | Dstore, Sdecode (s, sqp) when sqp = qp && codes_exact qp ->
           (* A gather from an int8 buffer under the same code: as
@@ -557,7 +555,7 @@ let compile_fast_loop ctx (l : loop) =
       | Dstore, Sconst c ->
           (* The max-pool's [-inf] initializer: one code for the loop. *)
           bump_stat ctx "i8_fill";
-          let code = encode ~scale ~zf ~z c in
+          let code = encode ~scale c in
           fun () ->
             let lo = clo () and hi = chi () in
             let db = dbase () in
@@ -567,7 +565,7 @@ let compile_fast_loop ctx (l : loop) =
       | Dmax, Sload s when codes_exact qp ->
           (* [encode (Float.max (decode d) v)] is the larger of [d] and
              [encode v], encode being monotone, except that a NaN [v]
-             makes [Float.max] NaN, which encodes as the zero point. *)
+             makes [Float.max] NaN, which encodes as code 0. *)
           bump_stat ctx "i8_max";
           let ss = s.stride in
           fun () ->
@@ -576,9 +574,9 @@ let compile_fast_loop ctx (l : loop) =
             for i = lo to hi - 1 do
               let j = db + (i * dstride) in
               let v = ug s.data (sb + (i * ss)) in
-              if v <> v then us8 dd j z
+              if v <> v then us8 dd j 0
               else begin
-                let e = encode ~scale ~zf ~z v in
+                let e = encode ~scale v in
                 if e > ug8 dd j then us8 dd j e
               end
             done

@@ -2,7 +2,6 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let magic_v1 = "LATTECKPT1"
 let magic_v2 = "LATTECKPT2"
 let format_version = 2
 
@@ -84,7 +83,7 @@ let read_int32 ic =
   really_input ic b 0 4;
   Bytes.get_int32_be b 0
 
-let read_entry path ~checksums ic =
+let read_entry path ic =
   let name = read_string path ic in
   let rank = input_binary_int ic in
   if rank < 0 || rank > max_rank then
@@ -95,17 +94,14 @@ let read_entry path ~checksums ic =
       if d < 0 then
         corrupt "Checkpoint: %s: tensor %s has negative dimension" path name)
     dims;
-  let stored_crc = if checksums then Some (read_int32 ic) else None in
+  let expected = read_int32 ic in
   let n = Array.fold_left ( * ) 1 dims in
   let bytes = Bytes.create (4 * n) in
   really_input ic bytes 0 (4 * n);
-  (match stored_crc with
-  | Some expected ->
-      let got = crc32 bytes in
-      if not (Int32.equal expected got) then
-        corrupt "Checkpoint: %s: tensor %s failed its checksum (CRC %08lx, file says %08lx)"
-          path name got expected
-  | None -> ());
+  let got = crc32 bytes in
+  if not (Int32.equal expected got) then
+    corrupt "Checkpoint: %s: tensor %s failed its checksum (CRC %08lx, file says %08lx)"
+      path name got expected;
   let data =
     Array.init n (fun i -> Int32.float_of_bits (Bytes.get_int32_le bytes (4 * i)))
   in
@@ -118,20 +114,15 @@ let parse_file path =
     (fun () ->
       try
         let m = really_input_string ic (String.length magic_v2) in
-        let checksums =
-          if String.equal m magic_v2 then begin
-            let v = input_binary_int ic in
-            if v <> format_version then
-              corrupt "Checkpoint: %s: unsupported format version %d" path v;
-            true
-          end
-          else if String.equal m magic_v1 then false
-          else corrupt "Checkpoint: %s is not a Latte checkpoint" path
-        in
+        if not (String.equal m magic_v2) then
+          corrupt "Checkpoint: %s is not a Latte checkpoint" path;
+        let v = input_binary_int ic in
+        if v <> format_version then
+          corrupt "Checkpoint: %s: unsupported format version %d" path v;
         let count = input_binary_int ic in
         if count < 0 || count > max_count then
           corrupt "Checkpoint: %s: invalid tensor count %d" path count;
-        List.init count (fun _ -> read_entry path ~checksums ic)
+        List.init count (fun _ -> read_entry path ic)
       with End_of_file -> corrupt "Checkpoint: %s is truncated" path)
 
 let validate_against ~lookup path entries =

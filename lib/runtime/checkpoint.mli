@@ -10,8 +10,9 @@
     Format (version 2): the magic ["LATTECKPT2"], a format-version
     word, a tensor count, then per tensor its name, rank, dimensions,
     a CRC-32 of the float32 payload, and the payload itself
-    (little-endian IEEE-754 bits). Version-1 files (no version word,
-    no checksums) are still readable.
+    (little-endian IEEE-754 bits). Any other file, a version-1 one
+    (["LATTECKPT1"], no checksums) included, is rejected: without a
+    checksum a damaged payload would load as wrong weights.
 
     Robustness guarantees:
 

@@ -130,25 +130,23 @@ let timed_sections sections =
 let forward_timed t = timed_sections t.fwd
 let backward_timed t = timed_sections t.bwd
 
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a.(Array.length a / 2)
+let percentile q samples =
+  let a = Array.copy samples in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  a.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
+let median samples = percentile 0.5 samples
 
 let time_run ?(warmup = 1) ?(iters = 3) f =
   for _ = 1 to warmup do
     f ()
   done;
-  let samples =
-    Array.init iters (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  median samples
-
-let time_forward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> forward t)
-let time_backward ?warmup ?iters t = time_run ?warmup ?iters (fun () -> backward t)
+  median
+    (Array.init iters (fun _ ->
+         let t0 = Unix.gettimeofday () in
+         f ();
+         Unix.gettimeofday () -. t0))
 
 let lookup_opt t name =
   let pool = t.prog.Program.buffers in

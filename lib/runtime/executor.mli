@@ -86,11 +86,18 @@ val forward_timed : t -> (string * float) list
 
 val backward_timed : t -> (string * float) list
 
-val time_forward : ?warmup:int -> ?iters:int -> t -> float
-(** Median-of-[iters] (default 3) wall-clock seconds for a full forward
-    pass, after [warmup] (default 1) untimed runs. *)
+val percentile : float -> float array -> float
+(** [percentile q samples], [q] in [[0, 1]]: the nearest-rank
+    percentile, the sample at index [floor (q * n)] of the [n] sorted
+    samples (clamped to the largest), so [percentile 0.5] is the median
+    {!time_run} reports. [samples] must be nonempty; it is not
+    modified. *)
 
-val time_backward : ?warmup:int -> ?iters:int -> t -> float
+val time_run : ?warmup:int -> ?iters:int -> (unit -> unit) -> float
+(** Median-of-[iters] (default 3) wall-clock seconds of [f ()], after
+    [warmup] (default 1) untimed calls. The one timer behind the tuner's
+    default measure, [latte bench] and the benchmark harness, for this
+    executor and the [Caffe_like] and [Mocha_like] baselines alike. *)
 
 val lookup : t -> string -> Tensor.t
 (** Access a buffer by name (for data layers, tests, solvers). Raises

@@ -3,8 +3,8 @@
    element representation, so a packed tensor can be opened with a
    single match and accessed at its native width.
 
-   int8 is stored as signed bytes under a symmetric affine code
-   [real = scale * (q - zero_point)]. Accumulation stays wide: f32 for
+   int8 is stored as signed bytes under a symmetric code
+   [real = scale * q]. Accumulation stays wide: f32 for
    float storage, the native int (>= 32 bits) for int8. *)
 
 type ('a, 'b) kind =
@@ -33,29 +33,27 @@ let bigarray_kind : type a b. (a, b) kind -> (a, b) Bigarray.kind = function
 (* Quantization parameters                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Symmetric by construction everywhere in this codebase (zero_point is
-   kept for generality; the codec and Qblas honour it). A buffer's
-   qparams are the identity for float storage. *)
-type qparams = { scale : float; zero_point : int }
+(* A buffer's qparams are the identity for float storage. *)
+type qparams = { scale : float }
 
-let qid = { scale = 1.0; zero_point = 0 }
+let qid = { scale = 1.0 }
 
 let qparams_of_absmax absmax =
   (* 127 levels on each side; guard against an all-zero buffer. *)
   let a = Float.max absmax 1e-8 in
-  { scale = a /. 127.0; zero_point = 0 }
+  { scale = a /. 127.0 }
 
 (* Saturate in float, before converting: [int_of_float] is unspecified
    for infinities, NaN and values beyond the int range (x86-64 returns
    0), which would store a max-pool's [-inf] initializer as code 0. *)
 let quantize qp v =
-  let q = Float.round (v /. qp.scale) +. float_of_int qp.zero_point in
+  let q = Float.round (v /. qp.scale) in
   if q >= -128.0 && q <= 127.0 then int_of_float q
   else if q > 127.0 then 127
   else if q < -128.0 then -128
-  else qp.zero_point (* NaN *)
+  else 0 (* NaN *)
 
-let dequantize qp q = qp.scale *. float_of_int (q - qp.zero_point)
+let dequantize qp q = qp.scale *. float_of_int q
 
 (* ------------------------------------------------------------------ *)
 (* Presets                                                             *)

@@ -3,7 +3,7 @@
     Each constructor pins both the OCaml element type ['a] and the
     Bigarray representation ['b], so a packed tensor can be opened with
     one match and accessed at its native width. int8 is stored as
-    signed bytes under a symmetric code [real = scale * (q - zero_point)].
+    signed bytes under a symmetric code [real = scale * q].
     Accumulation is always wide: f32 for float storage, native int
     (>= 32 bits, standing in for int32) for int8 storage. *)
 
@@ -23,24 +23,22 @@ val bigarray_kind : ('a, 'b) kind -> ('a, 'b) Bigarray.kind
 
 (** {1 Quantization parameters} *)
 
-type qparams = { scale : float; zero_point : int }
-(** Affine code for integer storage; the identity ({!qid}) for float
-    storage. This codebase always calibrates symmetrically
-    ([zero_point = 0]); the field exists so asymmetric codes type-check,
-    and the codec and [Qblas] honour it. *)
+type qparams = { scale : float }
+(** The symmetric code of integer storage, [real = scale * q]; the
+    identity ({!qid}) for float storage. *)
 
 val qid : qparams
-(** [{ scale = 1.0; zero_point = 0 }]. *)
+(** [{ scale = 1.0 }]. *)
 
 val qparams_of_absmax : float -> qparams
-(** Symmetric int8 code covering [[-absmax, absmax]]:
-    [scale = max absmax 1e-8 / 127], [zero_point = 0]. *)
+(** The int8 code covering [[-absmax, absmax]]:
+    [scale = max absmax 1e-8 / 127]. *)
 
 val quantize : qparams -> float -> int
 (** Round-to-nearest then saturate to [[-128, 127]]: values past either
     end, the infinities included, encode as that end's code (so a
     max-pool's [-inf] initializer is [-128]), and NaN encodes as
-    [zero_point]. The clamp happens in float, before the conversion, so
+    0. The clamp happens in float, before the conversion, so
     the result does not depend on the platform's [int_of_float]. For
     values inside the calibrated range,
     [|dequantize qp (quantize qp v) - v| <= scale/2]. [Ir_compile]'s

@@ -53,7 +53,6 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : Tensor.buffer_i8)
     ~off_a ~qb ~(b : Tensor.buffer_i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
-  let za = qa.Precision.zero_point and zb = qb.Precision.zero_point in
   let rescale = alpha *. qa.Precision.scale *. qb.Precision.scale in
   let put i j acc =
     let ci = off_c + (i * n) + j in
@@ -63,7 +62,7 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : Tensor.buffer_i8)
     let acc = ref 0 in
     let ia = ref (off_a + (i * as_i)) and ib = ref (off_b + (j * bs_j)) in
     for _ = 1 to k do
-      acc := !acc + ((ug8 a !ia - za) * (ug8 b !ib - zb));
+      acc := !acc + (ug8 a !ia * ug8 b !ib);
       ia := !ia + as_p;
       ib := !ib + bs_p
     done;
@@ -78,14 +77,13 @@ let gemm_i8i8 ~alpha ~transa ~transb ~m ~n ~k ~qa ~(a : Tensor.buffer_i8)
       let c20 = ref 0 and c21 = ref 0 and c30 = ref 0 and c31 = ref 0 in
       let ia = ref (off_a + (i0 * as_i)) and ib = ref (off_b + (j0 * bs_j)) in
       for _ = 1 to k do
-        let b0 = ug8 b !ib - zb and b1 = ug8 b (!ib + bs_j) - zb in
-        let a0 = ug8 a !ia - za and a1 = ug8 a (!ia + as_i) - za in
+        let b0 = ug8 b !ib and b1 = ug8 b (!ib + bs_j) in
+        let a0 = ug8 a !ia and a1 = ug8 a (!ia + as_i) in
         c00 := !c00 + (a0 * b0);
         c01 := !c01 + (a0 * b1);
         c10 := !c10 + (a1 * b0);
         c11 := !c11 + (a1 * b1);
-        let a2 = ug8 a (!ia + (2 * as_i)) - za
-        and a3 = ug8 a (!ia + (3 * as_i)) - za in
+        let a2 = ug8 a (!ia + (2 * as_i)) and a3 = ug8 a (!ia + (3 * as_i)) in
         c20 := !c20 + (a2 * b0);
         c21 := !c21 + (a2 * b1);
         c30 := !c30 + (a3 * b0);
@@ -118,7 +116,6 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
     ~(b : Tensor.buffer_i8) ~off_b ~(c : Tensor.buffer) ~off_c =
   let as_i, as_p = strides_a ~transa ~m ~k in
   let bs_p, bs_j = strides_b ~transb ~n ~k in
-  let zb = qb.Precision.zero_point in
   let rescale = alpha *. qb.Precision.scale in
   for i = 0 to m - 1 do
     let row_a = off_a + (i * as_i) in
@@ -131,18 +128,18 @@ let gemm_f32i8 ~alpha ~transa ~transb ~m ~n ~k ~(a : Tensor.buffer) ~off_a ~qb
       while !p + 3 < k do
         acc :=
           !acc
-          +. (ug a !ia *. float_of_int (ug8 b !ib - zb))
-          +. (ug a (!ia + as_p) *. float_of_int (ug8 b (!ib + bs_p) - zb))
+          +. (ug a !ia *. float_of_int (ug8 b !ib))
+          +. (ug a (!ia + as_p) *. float_of_int (ug8 b (!ib + bs_p)))
           +. (ug a (!ia + (2 * as_p))
-             *. float_of_int (ug8 b (!ib + (2 * bs_p)) - zb))
+             *. float_of_int (ug8 b (!ib + (2 * bs_p))))
           +. (ug a (!ia + (3 * as_p))
-             *. float_of_int (ug8 b (!ib + (3 * bs_p)) - zb));
+             *. float_of_int (ug8 b (!ib + (3 * bs_p))));
         ia := !ia + (4 * as_p);
         ib := !ib + (4 * bs_p);
         p := !p + 4
       done;
       while !p < k do
-        acc := !acc +. (ug a !ia *. float_of_int (ug8 b !ib - zb));
+        acc := !acc +. (ug a !ia *. float_of_int (ug8 b !ib));
         ia := !ia + as_p;
         ib := !ib + bs_p;
         incr p

@@ -255,11 +255,7 @@ let store_fill (Store (k, qp, g)) v =
   Bigarray.Array1.fill g.data (encode k qp v)
 
 let store_create ?(qparams = Precision.qid) (Precision.Any k) shape =
-  let st = Store (k, qparams, gen_create k shape) in
-  (* Raw zero is the encoded zero for every symmetric code we build,
-     but re-fill under the qparams so asymmetric codes start at 0.0. *)
-  if qparams.Precision.zero_point <> 0 then store_fill st 0.0;
-  st
+  Store (k, qparams, gen_create k shape)
 
 let store_shape (Store (_, _, g)) = g.shape
 let store_numel (Store (_, _, g)) = Shape.numel g.shape
@@ -285,8 +281,8 @@ let store_reader (Store (k, qp, g)) : int -> float =
   match k with
   | Precision.F32 -> fun i -> Bigarray.Array1.unsafe_get data i
   | Precision.I8 ->
-      let s = qp.Precision.scale and z = qp.Precision.zero_point in
-      fun i -> s *. float_of_int (Bigarray.Array1.unsafe_get data i - z)
+      let s = qp.Precision.scale in
+      fun i -> s *. float_of_int (Bigarray.Array1.unsafe_get data i)
 
 let store_writer (Store (k, qp, g)) : int -> float -> unit =
   let data = g.data in

@@ -139,8 +139,9 @@ val store_of_f32 : t -> store
 (** Wrap without copying ([F32], identity qparams). *)
 
 val store_create : ?qparams:Precision.qparams -> Precision.any -> Shape.t -> store
-(** Fresh store holding encoded zeros. [qparams] defaults to
-    {!Precision.qid} and is ignored by [F32]. *)
+(** Fresh store of zeros: an int8 one holds code 0, which is 0.0 under
+    every {!Precision.qparams}. [qparams] defaults to {!Precision.qid}
+    and is ignored by [F32]. *)
 
 val store_shape : store -> Shape.t
 val store_numel : store -> int

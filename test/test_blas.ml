@@ -157,7 +157,7 @@ let test_flops () =
 
 (* Qblas against an independent reference: a plain float-array triple
    loop over operands dequantized with [Precision], so a wrong load,
-   stride, offset or zero point in any kernel shows. The compiled-vs-
+   stride, offset or scale in any kernel shows. The compiled-vs-
    interpreter differential cannot see such an error, because both
    paths dispatch the same Qblas kernels. *)
 
@@ -185,8 +185,7 @@ let qoperand rng kind n =
   (st, values)
 
 let test_qblas_reference () =
-  let qa = { Precision.scale = 0.013; zero_point = 3 }
-  and qb = { Precision.scale = 0.021; zero_point = -5 } in
+  let qa = { Precision.scale = 0.013 } and qb = { Precision.scale = 0.021 } in
   let m = 5 and n = 7 and k = 9 in
   let off_a = 3 and off_b = 5 and off_c = 2 and pad = 4 in
   List.iter
@@ -264,8 +263,7 @@ let prop_gemm_random =
    sum of code products, rescaled once, as the kernel promises. Integer
    sums have no order, so the 4x2 blocking must move no bit. *)
 let test_i8i8_integer_reference () =
-  let qa = { Precision.scale = 0.013; zero_point = 3 }
-  and qb = { Precision.scale = 0.021; zero_point = -5 } in
+  let qa = { Precision.scale = 0.013 } and qb = { Precision.scale = 0.021 } in
   let rng = Rng.create 29 in
   let codes qp len =
     let st = Tensor.store_create ~qparams:qp (Precision.Any Precision.I8) [| len |] in
@@ -300,7 +298,7 @@ let test_i8i8_integer_reference () =
             for p = 0 to k - 1 do
               let qa' = ca.(off_a + if transa then (p * m) + i else (i * k) + p)
               and qb' = cb.(off_b + if transb then (j * k) + p else (p * n) + j) in
-              acc := !acc + ((qa' - qa.Precision.zero_point) * (qb' - qb.Precision.zero_point))
+              acc := !acc + (qa' * qb')
             done;
             let c' = if beta = 0.0 then 0.0 else if beta = 1.0 then x else to_f32 (beta *. x) in
             to_f32 (c' +. (rescale *. float_of_int !acc))

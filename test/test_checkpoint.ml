@@ -79,6 +79,48 @@ let test_bad_magic () =
      with Checkpoint.Corrupt _ -> true);
   Sys.remove path
 
+(* A version-1 file (magic "LATTECKPT1", no version word, no CRCs) whose
+   names and shapes match the program, so only its version tells it
+   apart: without checksums a damaged payload would load as wrong
+   weights, so it is rejected and no parameter moves. *)
+let test_v1_rejected () =
+  let exec = Test_util.prepare ~seed:5 (build ()) in
+  let names =
+    List.map
+      (fun (p : Program.param) -> p.Program.value_buf)
+      (Executor.program exec).Program.params
+  in
+  let bits name =
+    Array.map Int32.bits_of_float (Tensor.to_array (Executor.lookup exec name))
+  in
+  let path = tmp "latte_ckpt_v1.bin" in
+  let oc = open_out_bin path in
+  output_string oc "LATTECKPT1";
+  output_binary_int oc (List.length names);
+  let half = Bytes.create 4 in
+  Bytes.set_int32_le half 0 (Int32.bits_of_float 0.5);
+  List.iter
+    (fun name ->
+      let t = Executor.lookup exec name in
+      output_binary_int oc (String.length name);
+      output_string oc name;
+      output_binary_int oc (Shape.rank (Tensor.shape t));
+      Array.iter (output_binary_int oc) (Tensor.shape t);
+      for _ = 1 to Tensor.numel t do
+        output_bytes oc half
+      done)
+    names;
+  close_out oc;
+  let before = List.map bits names in
+  Alcotest.(check bool) "v1 rejected" true
+    (try
+       Checkpoint.load exec path;
+       false
+     with Checkpoint.Corrupt _ -> true);
+  Alcotest.(check bool) "parameters bit-identical" true
+    (List.map bits names = before);
+  Sys.remove path
+
 let test_float32_precision_preserved () =
   let exec = Test_util.prepare ~seed:5 (build ()) in
   let w = Executor.lookup exec "fc.weights" in
@@ -97,5 +139,6 @@ let suite =
     Alcotest.test_case "cross config transfer" `Quick test_cross_config;
     Alcotest.test_case "architecture mismatch" `Quick test_architecture_mismatch;
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
+    Alcotest.test_case "version 1 rejected" `Quick test_v1_rejected;
     Alcotest.test_case "float32 bit exact" `Quick test_float32_precision_preserved;
   ]

@@ -44,15 +44,15 @@ let test_quantize_saturates () =
    into an int8 buffer runs the encoding copy kernel, which must store
    [Precision.quantize]'s code of each stored value: NaN, the
    infinities, both zeros, every half-way point [±(k + 0.5)·scale] and
-   the values around both clamp ends, under a symmetric code and under
-   nonzero zero points. The power-of-two scale makes every half-way
-   point exact in f32, so ties are rounded; at scale 0.55 some
-   half-way points round the other way if the division by the scale
-   becomes a multiplication by its inverse. *)
+   the values around both clamp ends, under three scales. The
+   power-of-two scale makes every half-way point exact in f32, so ties
+   are rounded; at scale 0.55 some half-way points round the other way
+   if the division by the scale becomes a multiplication by its
+   inverse. *)
 let test_inline_encode () =
   List.iter
     (fun qp ->
-      let s = qp.Precision.scale and z = float_of_int qp.Precision.zero_point in
+      let s = qp.Precision.scale in
       let halves =
         List.concat_map
           (fun k ->
@@ -63,7 +63,7 @@ let test_inline_encode () =
       let ends =
         List.concat_map
           (fun q ->
-            [ (q -. z) *. s; (q -. z -. 0.5) *. s; (q -. z +. 0.5) *. s ])
+            [ q *. s; (q -. 0.5) *. s; (q +. 0.5) *. s ])
           [ -129.0; -128.0; 127.0; 128.0 ]
       in
       let values =
@@ -91,14 +91,14 @@ let test_inline_encode () =
           for i = 0 to n - 1 do
             let v = Tensor.get1 src i in
             Alcotest.(check int)
-              (Printf.sprintf "code of %h (scale %h, zero point %g)" v s z)
+              (Printf.sprintf "code of %h (scale %h)" v s)
               (Precision.quantize qp v)
               (Bigarray.Array1.get g.Tensor.data i)
           done
       | Tensor.Store (Precision.F32, _, _) -> Alcotest.fail "dst is not int8")
     [ Precision.qparams_of_absmax 2.0;
-      { Precision.scale = 0.0625; zero_point = -3 };
-      { Precision.scale = 0.55; zero_point = 5 } ]
+      { Precision.scale = 0.0625 };
+      { Precision.scale = 0.55 } ]
 
 (* ---- packed buffer-pool stores ------------------------------------ *)
 

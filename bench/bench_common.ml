@@ -26,6 +26,23 @@ let time_both ~iters forward backward =
   let bwd = Executor.time_run ~warmup:1 ~iters backward in
   { fwd; bwd }
 
+let interleaved ~rounds a b =
+  let time f = Executor.time_run ~warmup:0 ~iters:1 f *. 1e3 in
+  a ();
+  b ();
+  let ta = Array.make rounds 0.0 and tb = Array.make rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    if r mod 2 = 0 then begin
+      ta.(r) <- time a;
+      tb.(r) <- time b
+    end
+    else begin
+      tb.(r) <- time b;
+      ta.(r) <- time a
+    end
+  done;
+  (ta, tb)
+
 let measure_latte ?(config = Config.default) ?opts ?(iters = 3) net =
   let prog = Pipeline.compile ~seed:1 config net in
   let exec = Executor.prepare ?opts prog in

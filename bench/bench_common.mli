@@ -15,6 +15,14 @@ type measured = {
 
 val both : measured -> float
 
+val interleaved :
+  rounds:int -> (unit -> unit) -> (unit -> unit) -> float array * float array
+(** [interleaved ~rounds a b] calls [a] and [b] once each untimed, then
+    times one call of each per round, alternating which goes first, and
+    returns each side's [rounds] times in ms. On a shared host, timing
+    all of one side and then all of the other lets the host's drift
+    decide the ratio. *)
+
 val measure_latte :
   ?config:Config.t ->
   ?opts:Executor.Run_opts.t ->

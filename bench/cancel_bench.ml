@@ -3,7 +3,10 @@
    compiled into every section. The token is polled only at section
    entries and outermost loop iterations, so the overhead must stay
    within measurement noise — the acceptance bar is <= 1% on the total.
-   One human row per model, followed by its bench rows. *)
+   Both executors are timed in the same rounds, one forward+backward
+   each per round, alternating which goes first
+   ([Bench_common.interleaved]). One human row per model, followed by
+   its bench rows. *)
 
 let stock_models : (string * (unit -> Models.spec)) list =
   let scale = { Models.image = 32; width_div = 8; fc_div = 32 } in
@@ -17,46 +20,74 @@ let stock_models : (string * (unit -> Models.spec)) list =
     ("overfeat", fun () -> Models.overfeat ~batch:1 ~scale);
   ]
 
-(* Best of two measurement rounds per side: the min discards one-sided
-   scheduler hiccups, which otherwise dwarf a sub-1% effect on the
-   small models. *)
-let best_of_2 ?opts specf =
-  let once () =
-    Bench_common.both
-      (fst (Bench_common.measure_latte ?opts ~iters:5 (specf ()).Models.net))
-  in
-  Float.min (once ()) (once ())
+let rounds = 21
+let bar_pct = 1.0
+
+(* An executor with its inputs filled. *)
+let prepare ?opts specf =
+  snd (Bench_common.measure_latte ?opts ~iters:1 (specf ()).Models.net)
+
+let step exec () =
+  Executor.forward exec;
+  Executor.backward exec
+
+(* The token's overhead in each round, in %: a round's two steps ran
+   back to back, so their ratio cancels most of the host's drift. *)
+let overheads tp tt = Array.map2 (fun p t -> ((t /. p) -. 1.0) *. 100.0) tp tt
+
+(* The bar against the rounds' p10-p90 spread of the overhead: a bar
+   inside the spread is one these runs cannot resolve. *)
+let verdict ov =
+  let p10 = Executor.percentile 0.1 ov and p90 = Executor.percentile 0.9 ov in
+  if p90 <= bar_pct then "within"
+  else if p10 > bar_pct then "over"
+  else "unresolved"
 
 let run () =
   Bench_common.header
     "cancellation-token overhead (armed token vs none, forward+backward)";
-  Printf.printf "  %-12s %12s %12s %10s\n" "model" "plain ms" "token ms"
-    "overhead";
-  let rows =
+  Printf.printf "  %-12s %12s %12s %10s  %-16s  %s\n" "model" "plain ms"
+    "token ms" "overhead" "p10..p90 %" "1% bar";
+  let pct = Executor.percentile in
+  let times =
     List.map
       (fun (name, specf) ->
-        let t0 = best_of_2 specf in
+        let plain = prepare specf in
         let opts =
           Executor.Run_opts.with_token (Ir_compile.token ())
             Executor.Run_opts.default
         in
-        let t1 = best_of_2 ~opts specf in
-        let overhead_pct = ((t1 /. t0) -. 1.0) *. 100.0 in
-        Printf.printf "  %-12s %12.3f %12.3f %9.2f%%\n" name (t0 *. 1e3)
-          (t1 *. 1e3) overhead_pct;
+        let tp, tt =
+          Bench_common.interleaved ~rounds (step plain)
+            (step (prepare ~opts specf))
+        in
+        let ov = overheads tp tt in
+        Printf.printf "  %-12s %12.3f %12.3f %9.2f%%  %+7.2f..%+-7.2f  %s\n"
+          name (pct 0.5 tp) (pct 0.5 tt) (pct 0.5 ov) (pct 0.1 ov)
+          (pct 0.9 ov) (verdict ov);
         let row = Bench_common.emit ~bench:"cancel" ~case:name ~preset:"f32" in
-        row ~unit:"ms" "plain_ms" (t0 *. 1e3);
-        row ~unit:"ms" "token_ms" (t1 *. 1e3);
-        row ~unit:"%" "overhead_pct" overhead_pct;
-        (t0, t1))
+        row ~unit:"ms" ~samples:tp "plain_ms" (pct 0.5 tp);
+        row ~unit:"ms" ~samples:tt "token_ms" (pct 0.5 tt);
+        row ~unit:"%" ~samples:ov "overhead_pct" (pct 0.5 ov);
+        (tp, tt))
       stock_models
   in
   (* Aggregate on total time, not the per-model mean: the small models'
-     relative jitter would otherwise dominate the average. *)
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let overall = ((sum snd /. sum fst) -. 1.0) *. 100.0 in
+     relative jitter would otherwise dominate the average. Round [r]'s
+     total sums every model's round [r]. *)
+  let total side =
+    Array.init rounds (fun r ->
+        List.fold_left (fun acc ts -> acc +. (side ts).(r)) 0.0 times)
+  in
+  let ov = overheads (total fst) (total snd) in
   Printf.printf
-    "  overall overhead %.2f%% of total time (acceptance bar: <= 1%%)\n" overall;
+    "  overall overhead %.2f%% of total time (p10..p90 %+.2f..%+.2f%%; \
+     acceptance bar: <= 1%%): %s\n"
+    (pct 0.5 ov) (pct 0.1 ov) (pct 0.9 ov) (verdict ov);
   Bench_common.note
-    "token polls sit at section entries and outermost loop iterations only; \
-     per-model jitter is timer noise"
+    (Printf.sprintf
+       "ms = median of %d rounds, each timing one step per executor, \
+        alternating which goes first; overhead = median of the rounds' \
+        token/plain ratios; unresolved = the 1%% bar lies inside their \
+        p10..p90 spread"
+       rounds)

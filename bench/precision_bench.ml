@@ -90,29 +90,10 @@ type row = {
 }
 
 (* Both presets are timed in the same rounds, one forward each per
-   round, and the one that goes first alternates: on a shared host,
-   timing nine f32 forwards and then nine int8 ones moved lenet's ratio
-   from 0.76x to 0.54x between two runs of one build. *)
+   round, alternating which goes first: on a shared host, timing nine
+   f32 forwards and then nine int8 ones moved lenet's ratio from 0.76x
+   to 0.54x between two runs of one build. *)
 let rounds = 21
-
-let time_interleaved exec32 exec8 =
-  let time exec =
-    Executor.time_run ~warmup:0 ~iters:1 (fun () -> Executor.forward exec) *. 1e3
-  in
-  Executor.forward exec32;
-  Executor.forward exec8;
-  let t32 = ref [] and t8 = ref [] in
-  for r = 1 to rounds do
-    if r mod 2 = 1 then begin
-      t32 := time exec32 :: !t32;
-      t8 := time exec8 :: !t8
-    end
-    else begin
-      t8 := time exec8 :: !t8;
-      t32 := time exec32 :: !t32
-    end
-  done;
-  (Array.of_list !t32, Array.of_list !t8)
 
 let run_model build =
   (* f32 baseline *)
@@ -133,7 +114,11 @@ let run_model build =
     Quantize.quantize ~feed:(feed exec8 spec8) ~keep exec8
   in
   let outs8 = eval_outputs exec8 spec8 in
-  let t32, t8 = time_interleaved exec32 exec8 in
+  let t32, t8 =
+    Bench_common.interleaved ~rounds
+      (fun () -> Executor.forward exec32)
+      (fun () -> Executor.forward exec8)
+  in
   let f32 =
     { preset = "f32"; fwd_ms = t32;
       bytes = Buffer_pool.total_bytes prog32.Program.buffers; packed = 0;

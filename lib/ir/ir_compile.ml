@@ -69,6 +69,21 @@ type ctx = {
   schedule : par_entry list ref;  (* Newest first; reversed by [schedule]. *)
   token : token option;  (* Cancellation cell polled by outer loops. *)
   top : bool;  (* At statement-list top level: outermost loops poll the token. *)
+  written : Obj.t list Lazy.t;
+      (* Storage ids of the buffers the section writes; forced by the
+         first int8 gather, so f32 compiles never build it. *)
+  shadows : shadow list ref;
+      (* Shared by the worker recompiles of a parallel loop. *)
+}
+
+(* The int8 codes of an f32 gather source under one scale. The
+   section's entry re-encodes the whole source (see [compile]), so a
+   gather reads a code as often as its layout repeats the element (an
+   im2col gather up to k·k times) but encodes it once per run. *)
+and shadow = {
+  sh_src : Tensor.buffer;
+  sh_scale : float;
+  sh_codes : Tensor.buffer_i8;
 }
 
 type compiled = { entry : unit -> unit; ctx : ctx }
@@ -476,15 +491,54 @@ let rec collapse_loop ctx (l : loop) =
 
 (* [Precision.quantize], written out so that each int8 loop encodes
    inline: under dune's [-opaque] a call into [Precision] is out of line
-   and boxes its float argument. A test pins it to [Precision.quantize]
-   on NaN, the infinities, both zeros, the half-way points and both
-   clamp ends. *)
+   and boxes its float argument, and the stdlib's round is the C
+   function [caml_round]. This round is half away from zero too: from
+   0.5 up, [a +. 0.5] rounds without crossing an integer, so its
+   truncation is exact; below 0.5 the sum could round up to 1.0
+   ([0.49999999999999994 +. 0.5 = 1.0]), so that range returns 0
+   directly. Past the range test, a value at or beyond either end
+   saturates and NaN (which fails every comparison) encodes as 0. A
+   test pins it to [Precision.quantize] on NaN, the infinities, both
+   zeros, the half-way points and their neighbours, and both clamp
+   ends. *)
 let[@inline] encode ~scale v =
-  let q = Float.round (v /. scale) in
-  if q >= -128.0 && q <= 127.0 then int_of_float q
-  else if q > 127.0 then 127
-  else if q < -128.0 then -128
+  let t = v /. scale in
+  if t > -128.0 && t < 127.0 then begin
+    let a = Float.abs t in
+    let r = if a < 0.5 then 0 else int_of_float (a +. 0.5) in
+    if t < 0.0 then -r else r
+  end
+  else if t >= 127.0 then 127
+  else if t <= -128.0 then -128
   else 0
+
+(* Does a statement of the section write [data]'s storage? Aliases
+   share their block, so storage identity covers them. *)
+let section_writes ctx data =
+  let id = Obj.repr data in
+  List.exists (fun w -> w == id) (Lazy.force ctx.written)
+
+(* The shadow of [src] under [scale], allocated on first use. *)
+let shadow_codes ctx src ~scale =
+  match
+    List.find_opt
+      (fun sh -> sh.sh_src == src && Float.equal sh.sh_scale scale)
+      !(ctx.shadows)
+  with
+  | Some sh -> sh.sh_codes
+  | None ->
+      let codes =
+        Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout
+          (Bigarray.Array1.dim src)
+      in
+      ctx.shadows :=
+        { sh_src = src; sh_scale = scale; sh_codes = codes } :: !(ctx.shadows);
+      codes
+
+let fill_shadow { sh_src; sh_scale = scale; sh_codes } =
+  for i = 0 to Bigarray.Array1.dim sh_codes - 1 do
+    us8 sh_codes i (encode ~scale (ug sh_src i))
+  done
 
 (* The code-domain loops (code copy, max) need a positive scale, so that
    encode is monotone, and [encode (decode q) = q] for all 256 codes.
@@ -530,16 +584,18 @@ let compile_fast_loop ctx (l : loop) =
       let dd = g.Tensor.data in
       let scale = qp.Precision.scale in
       match (kind, sv) with
-      | Dstore, Sload s ->
-          (* A gather from f32 data. *)
+      | Dstore, Sload s when not (section_writes ctx s.data) ->
+          (* A gather from f32 data the section does not write copies
+             codes from the source's shadow, as [i8_copy] does; one
+             from storage the section writes takes the decoded loop. *)
           bump_stat ctx "i8_encode";
+          let codes = shadow_codes ctx s.data ~scale in
           let ss = s.stride in
           fun () ->
             let lo = clo () and hi = chi () in
             let db = dbase () and sb = s.base () in
             for i = lo to hi - 1 do
-              us8 dd (db + (i * dstride))
-                (encode ~scale (ug s.data (sb + (i * ss))))
+              us8 dd (db + (i * dstride)) (ug8 codes (sb + (i * ss)))
             done
       | Dstore, Sdecode (s, sqp) when sqp = qp && codes_exact qp ->
           (* A gather from an int8 buffer under the same code: as
@@ -1267,9 +1323,25 @@ let compile ~lookup ?store_of ?(free_vars = []) ?(safety = Guard_unproven)
       schedule = ref [];
       token;
       top = true;
+      written =
+        lazy
+          (List.map
+             (fun b -> Tensor.store_data_id (store_of b))
+             (buffers_written stmts));
+      shadows = ref [];
     }
   in
   let entry = compile_stmts ctx Ir_bounds.empty_env stmts in
+  (* Every shadow is fresh on every run: its source may change between
+     runs (a new input batch), never during one. *)
+  let entry =
+    match !(ctx.shadows) with
+    | [] -> entry
+    | shadows ->
+        fun () ->
+          List.iter fill_shadow shadows;
+          entry ()
+  in
   { entry; ctx }
 
 let run c ?(bindings = []) () =

@@ -13,9 +13,12 @@
     generic loop that performs {!Ir_eval}'s float operations in
     {!Ir_eval}'s order. int8 innermost loops run in the same strided
     compiler: an int8 load decodes inline, and four kernels write int8
-    codes inline (an encoding copy from f32, a code copy between equal
+    codes inline (a gather from f32 data, a code copy between equal
     codes, a constant fill and a max-accumulate); any other int8
-    destination is written through the store's writer. Only unproven or
+    destination is written through the store's writer. A gather from
+    f32 data encodes each source element once per run, not once per
+    element it writes: it copies codes from a shadow of its source,
+    which the compiled section's entry encodes. Only unproven or
     non-strided loops take the per-node closure path.
 
     Loops compute {!Ir_eval}'s results bit for bit, which the test suite
@@ -137,7 +140,13 @@ val kernel_stats : compiled -> (string * int) list
     ["generic"] for an f32 destination no kernel matched, an int8
     kernel (["i8_encode"], ["i8_copy"], ["i8_fill"], ["i8_max"]), or
     ["decoded"] for an int8 destination no kernel matched (written
-    through the store's writer). Loops on the closure path are not
+    through the store's writer). ["i8_encode"] is a copy from f32
+    storage that no statement of the compiled section writes, under
+    any alias. It copies int8 codes from a shadow, one per (source
+    storage, scale), allocated at compile time. {!run} encodes every
+    shadow from its whole source before the first statement, so the
+    codes are fresh on every run. A copy from storage the section
+    writes counts as ["decoded"]. Loops on the closure path are not
     counted. The other counters are accesses (["guarded"]) and GEMMs
     (["guarded_gemm"]) given a runtime check, packed GEMMs by {!Qblas}
     kernel name, and parallel-loop decisions (["par_loop"],

@@ -12,7 +12,9 @@
        buffers, biases (rank < 2, or [n; 1] columns), and the caller's
        [keep] list (inputs, labels, loss, logits).}
     {- {!calibrate} runs forward passes over calibration batches and
-       records each candidate's absolute-maximum value.}
+       records each candidate's largest finite absolute value; NaN and
+       the infinities are skipped, so an infinity in a batch saturates
+       at encode like any value past the range.}
     {- {!apply} repacks the physical blocks in place at int8 with the
        symmetric scale [absmax/127].}
     {- The executor is re-prepared: compiled sections resolve buffer
@@ -33,7 +35,8 @@ val calibrate :
   (string * float) list
 (** [calibrate ~exec ~feed bufs] runs [batches] (default 4) forward
     passes — [feed i] loads batch [i] — and returns each buffer's
-    observed absmax across all batches. Must run before {!apply} (the
+    observed absmax across all batches, over finite values
+    ({!Tensor.store_absmax}). Must run before {!apply} (the
     scan reads the still-f32 contents). *)
 
 val apply : Program.t -> (string * float) list -> int

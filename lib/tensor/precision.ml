@@ -39,6 +39,9 @@ type qparams = { scale : float }
 let qid = { scale = 1.0 }
 
 let qparams_of_absmax absmax =
+  if not (Float.is_finite absmax) then
+    invalid_arg
+      (Printf.sprintf "Precision.qparams_of_absmax: non-finite absmax %g" absmax);
   (* 127 levels on each side; guard against an all-zero buffer. *)
   let a = Float.max absmax 1e-8 in
   { scale = a /. 127.0 }

@@ -32,7 +32,9 @@ val qid : qparams
 
 val qparams_of_absmax : float -> qparams
 (** The int8 code covering [[-absmax, absmax]]:
-    [scale = max absmax 1e-8 / 127]. *)
+    [scale = max absmax 1e-8 / 127]. Raises [Invalid_argument] when
+    [absmax] is NaN or infinite: an infinite scale would decode every
+    code as NaN or an infinity. *)
 
 val quantize : qparams -> float -> int
 (** Round-to-nearest then saturate to [[-128, 127]]: values past either

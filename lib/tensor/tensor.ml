@@ -327,6 +327,7 @@ let store_absmax st =
   let m = ref 0.0 in
   for i = 0 to store_numel st - 1 do
     let a = Float.abs (rd i) in
-    if a > !m then m := a
+    (* NaN fails the first test, an infinity the second. *)
+    if a > !m && a < infinity then m := a
   done;
   !m

@@ -185,4 +185,7 @@ val store_blit_from_f32 : src:t -> dst:store -> unit
 (** Encode [src] elementwise into [dst]; shapes must match. *)
 
 val store_absmax : store -> float
-(** Max absolute decoded value (0 for an empty store). *)
+(** Max absolute finite decoded value (0 for a store with none): NaN
+    and the infinities are skipped, so int8 calibration over a batch
+    that holds an infinity still gives a finite scale, and the
+    infinity saturates at encode like any value past the range. *)

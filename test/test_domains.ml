@@ -226,6 +226,48 @@ let determinism_case (name, specf) =
   in
   Alcotest.test_case (Printf.sprintf "%s bit-identical at 1/2/4" name) `Slow test
 
+(* int8 keeps the contract too. Each domain count compiles, calibrates
+   and quantizes from the same seed and the same calibration feed, then
+   runs one forward; every buffer must match the one-domain run bit for
+   bit. The image is each buffer's decoded values, which covers an int8
+   buffer's codes and its scale alike. *)
+let int8_determinism_case (name, specf) =
+  let image domains =
+    let spec = specf () in
+    let exec = run_with ~domains (fun () -> spec) in
+    let input_buf = spec.Models.data_ens ^ ".value" in
+    let input = Executor.lookup exec input_buf in
+    let feed i =
+      Tensor.fill_uniform (Rng.create (31 + i)) input ~lo:0.0 ~hi:1.0
+    in
+    let keep =
+      [ input_buf; spec.Models.label_buf; spec.Models.loss_buf;
+        spec.Models.output_ens ^ ".value" ]
+    in
+    let exec, packed = Quantize.quantize ~feed ~keep exec in
+    check (name ^ ": packs buffers") true (packed > 0);
+    feed 4;
+    Executor.forward exec;
+    let pool = (Executor.program exec).Program.buffers in
+    List.map
+      (fun buf ->
+        let t = Buffer_pool.read_f32 pool buf in
+        ( buf,
+          Array.init (Tensor.numel t) (fun i ->
+              Int64.bits_of_float (Tensor.get1 t i)) ))
+      (Buffer_pool.names pool)
+  in
+  let test () =
+    let baseline = image 1 in
+    List.iter
+      (fun domains ->
+        compare_images (Printf.sprintf "%s int8@%d" name domains) baseline
+          (image domains))
+      [ 2; 4 ]
+  in
+  Alcotest.test_case (Printf.sprintf "%s int8 bit-identical at 1/2/4" name)
+    `Quick test
+
 (* Forced worker respawn must not change a single bit: arm an injected
    worker death mid-run and compare every buffer against a clean run at
    the same domain count. [Executor.forward]/[backward] self-heal by
@@ -532,6 +574,10 @@ let suite =
   ]
   @ List.map determinism_case stock_models
   @ List.map respawn_determinism_case stock_models
+  @ List.map int8_determinism_case
+      (List.filter
+         (fun (name, _) -> List.mem name [ "lenet"; "vgg-block" ])
+         stock_models)
   @ [
       Alcotest.test_case "default prepare matches sequential" `Quick
         default_prepare_matches_sequential;
